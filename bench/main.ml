@@ -184,8 +184,8 @@ let extension_second_kernel () =
     \ favours HC even more, since the HLS designs stay memory-bound)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Simulation engines: levelized batch (Hw.Compile, behind Hw.Sim) vs   *)
-(* the retained cone engine (Hw.Cone) and reference interpreter         *)
+(* Simulation engines: levelized batch (Hw.Sim) vs the reference        *)
+(* interpreter (Hw.Interp)                                              *)
 (* ------------------------------------------------------------------ *)
 
 type engine_row = {
@@ -193,7 +193,6 @@ type engine_row = {
   er_nodes : int;          (* netlist nodes *)
   er_compiled : int;       (* instructions in the levelized schedule *)
   er_ref_cps : float;      (* reference interpreter, cycles/sec *)
-  er_cone_cps : float;     (* retained cone engine, cycles/sec *)
   er_level_cps : float;    (* levelized engine at batch 1, cycles/sec *)
   er_batch : int;          (* lanes in the batched run *)
   er_batch_cps : float;    (* levelized batched, aggregate lane-cycles/sec *)
@@ -227,7 +226,7 @@ let drive ~set ~get ~step (c : Hw.Netlist.t) cycles =
 
 (* Every lane driven with its own salted stream; only lane 0's outputs are
    folded into the checksum (the per-lane streams are cross-checked by
-   Equiv.crosscheck_batch before any timing runs). *)
+   the batched Equiv.crosscheck before any timing runs). *)
 let drive_batch sim (c : Hw.Netlist.t) cycles =
   let ins = List.map fst c.Hw.Netlist.inputs
   and outs = List.map fst c.Hw.Netlist.outputs in
@@ -238,11 +237,11 @@ let drive_batch sim (c : Hw.Netlist.t) cycles =
     for lane = 0 to b - 1 do
       List.iteri
         (fun i nm ->
-          Hw.Sim.set_lane sim ~lane nm (stimulus ~lane_salt:(lane * 0x5b) k i))
+          Hw.Sim.set ~lane sim nm (stimulus ~lane_salt:(lane * 0x5b) k i))
         ins
     done;
-    List.iter (fun nm -> sum := !sum lxor Hw.Sim.get_lane sim ~lane:0 nm) outs;
-    Hw.Sim.batch_step sim
+    List.iter (fun nm -> sum := !sum lxor Hw.Sim.get sim nm) outs;
+    Hw.Sim.step sim
   done;
   (Unix.gettimeofday () -. t0, !sum)
 
@@ -277,7 +276,7 @@ let measure_engines name c =
       failwith
         (Format.asprintf "engine crosscheck failed on %s: %a" name
            Hw.Equiv.pp_result r));
-  (match Hw.Equiv.crosscheck_batch ~cycles:128 ~lanes:bench_batch c with
+  (match Hw.Equiv.crosscheck ~cycles:128 ~lanes:bench_batch c with
   | Hw.Equiv.Equivalent -> ()
   | r ->
       failwith
@@ -289,39 +288,30 @@ let measure_engines name c =
       ~step:(fun () -> Hw.Interp.step itp)
       c n
   in
-  let run_cone n =
-    let sim = Hw.Cone.create c in
-    drive ~set:(Hw.Cone.set sim) ~get:(Hw.Cone.get sim)
-      ~step:(fun () -> Hw.Cone.step sim)
-      c n
-  in
   let run_level n =
     let sim = Hw.Sim.create c in
     drive ~set:(Hw.Sim.set sim) ~get:(Hw.Sim.get sim)
       ~step:(fun () -> Hw.Sim.step sim)
       c n
   in
-  let run_batch n = drive_batch (Hw.Sim.create_batch ~batch:bench_batch c) c n in
-  (* Fixed-length checksum pass on fresh instances: all engines (and the
+  let run_batch n = drive_batch (Hw.Sim.create ~batch:bench_batch c) c n in
+  (* Fixed-length checksum pass on fresh instances: both engines (and the
      batched run's lane 0) must fold the identical output stream. *)
   let check_cycles = 2048 in
   let _, ref_sum = run_ref check_cycles in
-  let _, cone_sum = run_cone check_cycles in
   let _, level_sum = run_level check_cycles in
   let _, batch_sum = run_batch check_cycles in
-  if not (cone_sum = ref_sum && level_sum = ref_sum && batch_sum = ref_sum)
-  then failwith (Printf.sprintf "engine checksum mismatch on %s" name);
+  if not (level_sum = ref_sum && batch_sum = ref_sum) then
+    failwith (Printf.sprintf "engine checksum mismatch on %s" name);
   let ref_cps = time_cps run_ref in
-  let cone_cps = time_cps run_cone in
   let level_cps = time_cps run_level in
   (* Aggregate throughput: each batched step advances [bench_batch] lanes. *)
   let batch_cps = time_cps run_batch *. float_of_int bench_batch in
   {
     er_name = name;
     er_nodes = Hw.Netlist.num_nodes c;
-    er_compiled = Hw.Compile.compiled_nodes (Hw.Compile.create c);
+    er_compiled = Hw.Sim.compiled_nodes (Hw.Sim.create c);
     er_ref_cps = ref_cps;
-    er_cone_cps = cone_cps;
     er_level_cps = level_cps;
     er_batch = bench_batch;
     er_batch_cps = batch_cps;
@@ -342,24 +332,26 @@ let sim_engine_rows () =
   List.map (fun (name, c) -> measure_engines name c) [ verilog; bambu_largest ]
 
 let render_engine_rows rows =
-  Printf.printf "%-18s %7s %8s %12s %12s %12s %14s %9s %9s\n" "design" "nodes"
-    "compiled" "ref cyc/s" "cone cyc/s" "level cyc/s"
+  Printf.printf "%-18s %7s %8s %12s %12s %14s %9s\n" "design" "nodes"
+    "compiled" "ref cyc/s" "level cyc/s"
     (Printf.sprintf "batch%d lc/s" bench_batch)
-    "lvl/ref" "bat/cone";
+    "lvl/ref";
   List.iter
     (fun r ->
-      Printf.printf "%-18s %7d %8d %12.0f %12.0f %12.0f %14.0f %8.2fx %8.2fx\n"
-        r.er_name r.er_nodes r.er_compiled r.er_ref_cps r.er_cone_cps
-        r.er_level_cps r.er_batch_cps
-        (r.er_level_cps /. r.er_ref_cps)
-        (r.er_batch_cps /. r.er_cone_cps))
+      Printf.printf "%-18s %7d %8d %12.0f %12.0f %14.0f %8.2fx\n" r.er_name
+        r.er_nodes r.er_compiled r.er_ref_cps r.er_level_cps r.er_batch_cps
+        (r.er_level_cps /. r.er_ref_cps))
     rows
 
 (* The perf trajectory across PRs, per design: what the recorded engine of
    each era did on this benchmark.  PR 1's numbers are the committed
    BENCH_sim.json of that era (closure cone engine, this machine class);
-   the current entry is re-measured by this run. *)
+   [cone_recorded] is the cone engine's last committed measurement before
+   it was retired; the levelized entries are re-measured by this run. *)
 let pr1_recorded = [ ("verilog_initial", 45563.6, 3.302); ("bambu_initial", 200362.5, 3.135) ]
+
+let cone_recorded =
+  [ ("verilog_initial", 67999.8, 3.674); ("bambu_initial", 314922.5, 2.964) ]
 
 let write_engine_json path rows =
   (* temp-file + rename: a crash mid-bench never truncates the recorded
@@ -370,33 +362,27 @@ let write_engine_json path rows =
     (fun i r ->
       Printf.fprintf oc
         "    {\"name\": \"%s\", \"nodes\": %d, \"compiled_nodes\": %d, \
-         \"reference_cps\": %.1f, \"cone_cps\": %.1f, \"level_cps\": %.1f, \
-         \"batch\": %d, \"batch_lane_cps\": %.1f, \"speedup_vs_reference\": \
-         %.3f, \"batch_speedup_vs_cone\": %.3f}%s\n"
-        r.er_name r.er_nodes r.er_compiled r.er_ref_cps r.er_cone_cps
-        r.er_level_cps r.er_batch r.er_batch_cps
+         \"reference_cps\": %.1f, \"level_cps\": %.1f, \"batch\": %d, \
+         \"batch_lane_cps\": %.1f, \"speedup_vs_reference\": %.3f}%s\n"
+        r.er_name r.er_nodes r.er_compiled r.er_ref_cps r.er_level_cps
+        r.er_batch r.er_batch_cps
         (r.er_level_cps /. r.er_ref_cps)
-        (r.er_batch_cps /. r.er_cone_cps)
         (if i = List.length rows - 1 then "" else ","))
     rows;
   output_string oc "  ],\n  \"trajectory\": [\n";
+  let recorded engine table name =
+    match List.find_opt (fun (nm, _, _) -> nm = name) table with
+    | Some (_, cps, speedup) ->
+        Printf.fprintf oc
+          "    {\"design\": \"%s\", \"engine\": \"%s\", \"cps\": %.1f, \
+           \"speedup_vs_reference\": %.3f},\n"
+          name engine cps speedup
+    | None -> ()
+  in
   List.iteri
     (fun i r ->
-      let pr1 =
-        List.find_opt (fun (nm, _, _) -> nm = r.er_name) pr1_recorded
-      in
-      (match pr1 with
-      | Some (_, cps, speedup) ->
-          Printf.fprintf oc
-            "    {\"design\": \"%s\", \"engine\": \"cone (PR 1, recorded)\", \
-             \"cps\": %.1f, \"speedup_vs_reference\": %.3f},\n"
-            r.er_name cps speedup
-      | None -> ());
-      Printf.fprintf oc
-        "    {\"design\": \"%s\", \"engine\": \"cone (this run)\", \"cps\": \
-         %.1f, \"speedup_vs_reference\": %.3f},\n"
-        r.er_name r.er_cone_cps
-        (r.er_cone_cps /. r.er_ref_cps);
+      recorded "cone (PR 1, recorded)" pr1_recorded r.er_name;
+      recorded "cone (retired, recorded)" cone_recorded r.er_name;
       Printf.fprintf oc
         "    {\"design\": \"%s\", \"engine\": \"levelized batch=1\", \
          \"cps\": %.1f, \"speedup_vs_reference\": %.3f},\n"
@@ -414,8 +400,7 @@ let write_engine_json path rows =
 
 let sim_engines () =
   section
-    "Simulation engines: levelized batch (Hw.Sim) vs cone engine vs \
-     reference interpreter";
+    "Simulation engines: levelized batch (Hw.Sim) vs reference interpreter";
   let rows = sim_engine_rows () in
   render_engine_rows rows;
   write_engine_json "BENCH_sim.json" rows
@@ -686,10 +671,10 @@ let kernels_bench () =
 
 (* Two sides of lib/transfo worth tracking: how fast a verified script
    runs (every step discharges its obligation AND crosschecks the result
-   through three engines, so this is really a verification benchmark),
-   and what the flagship delayed transformation buys — the fmax of the
-   IDCT row datapath before and after [retime 4] under the xcvu9p delay
-   model. *)
+   against the reference interpreter, so this is really a verification
+   benchmark), and what the flagship delayed transformation buys — the
+   fmax of the IDCT row datapath before and after [retime 4] under the
+   xcvu9p delay model. *)
 let transfo_bench () =
   section "Transformation scripts: verified apply throughput, retime payoff";
   let subject () =
@@ -719,7 +704,7 @@ let transfo_bench () =
   let ta = Hw.Timing.analyze Hw.Device.xcvu9p after in
   let speedup = ta.Hw.Timing.fmax_mhz /. tb.Hw.Timing.fmax_mhz in
   Printf.printf
-    "verified script %S: %d steps in %.3fs (%.1f steps/s, 3-way \
+    "verified script %S: %d steps in %.3fs (%.1f steps/s, \
      crosscheck included)\n"
     (Transfo.Script.to_string script)
     !steps apply_s steps_per_sec;

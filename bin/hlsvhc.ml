@@ -63,34 +63,18 @@ let kernel_opt =
            kernels: $(b,idct), $(b,fir8), $(b,matmul8).  Unknown names \
            fail with the list of valid kernels.")
 
-(* A tool restriction must stay inside the kernel's inventory — a tool
-   the kernel does not implement is a usage error, not an empty
+(* A tool the kernel does not implement is a usage error, not an empty
    artifact. *)
-let check_kernel_tools kernel = function
-  | None -> ()
-  | Some ts ->
-      let have = Core.Kernel.tools kernel in
-      List.iter
-        (fun t ->
-          if not (List.mem t have) then begin
-            Printf.eprintf "hlsvhc: kernel %s has no %s designs (tools: %s)\n"
-              (Core.Kernel.name kernel)
-              (Core.Design.tool_name t)
-              (String.concat ", " (List.map Core.Design.tool_name have));
-            exit 2
-          end)
-        ts
-
 let kernel_inventory kernel tool =
-  match Core.Kernel.inventory kernel tool with
-  | Some inv -> inv
-  | None ->
-      Printf.eprintf "hlsvhc: kernel %s has no %s designs (tools: %s)\n"
-        (Core.Kernel.name kernel)
-        (Core.Design.tool_name tool)
-        (String.concat ", "
-           (List.map Core.Design.tool_name (Core.Kernel.tools kernel)));
+  match Core.Kernel.inventory_exn kernel tool with
+  | inv -> inv
+  | exception Invalid_argument msg ->
+      Printf.eprintf "hlsvhc: %s\n" msg;
       exit 2
+
+(* A tool restriction must stay inside the kernel's inventory. *)
+let check_kernel_tools kernel tools =
+  Option.iter (List.iter (fun t -> ignore (kernel_inventory kernel t))) tools
 
 let opt_flag =
   Arg.(value & flag & info [ "opt"; "optimized" ] ~doc:"Use the optimized design.")
@@ -132,10 +116,10 @@ let store_opt =
 (* Attach the persistent store before any evaluation fans out; a store
    that cannot be opened is a usage error, not a measurement result. *)
 let attach_store = function
-  | None -> ()
+  | None -> None
   | Some dir -> (
       match Store.attach dir with
-      | Ok _ -> ()
+      | Ok t -> Some t
       | Error e ->
           Printf.eprintf "hlsvhc: --store %s: %s\n" dir e;
           exit 2)
@@ -219,7 +203,7 @@ let table1_cmd =
 let table2_cmd =
   let run kernel tools jobs trace keep_going fault store =
     arm_fault fault;
-    attach_store store;
+    ignore (attach_store store);
     check_kernel_tools kernel tools;
     let failures =
       with_trace trace (fun () ->
@@ -270,7 +254,7 @@ let fig1_cmd =
   in
   let run kernel tool_rep tools jobs trace keep_going json fault store =
     arm_fault fault;
-    attach_store store;
+    ignore (attach_store store);
     let tools = merge_tools tool_rep tools in
     check_kernel_tools kernel tools;
     let failures =
@@ -432,7 +416,7 @@ let waves_cmd =
 let sweep_cmd =
   let run kernel tool jobs trace keep_going fault store =
     arm_fault fault;
-    attach_store store;
+    ignore (attach_store store);
     let point_line (d : Core.Design.t) (m : Core.Metrics.measured) =
       Printf.printf "%-34s A=%7d  P=%8.2f MOPS  f=%7.2f MHz\n%!"
         d.Core.Design.label m.Core.Metrics.area m.Core.Metrics.throughput_mops
@@ -555,7 +539,7 @@ let dse_cmd =
   let run kernel strategy seed budget objective tools jobs json check_fig1
       transfo trace keep_going fault store =
     arm_fault fault;
-    attach_store store;
+    ignore (attach_store store);
     check_kernel_tools kernel tools;
     if check_fig1 && (strategy <> Dse.Strategy.Exhaustive || budget <> None)
     then begin
@@ -638,8 +622,8 @@ let transfo_cmd =
           ~doc:
             "Semicolon-separated transformation sequence, e.g. \
              $(b,\"retime 2; strength_reduce\").  Every step is verified \
-             against its obligation and crosschecked through all three \
-             simulation engines before the next one runs.")
+             against its obligation and its result crosschecked against \
+             the reference interpreter before the next one runs.")
   in
   let subject_opt =
     Arg.(
@@ -780,10 +764,9 @@ let transfo_cmd =
                 latency;
               Option.iter
                 (fun path ->
-                  let oc = open_out path in
-                  output_string oc
-                    (Hw.Verilog.emit subj.Transfo.Subject.circuit);
-                  close_out oc;
+                  Core.Trace.write_atomic path (fun oc ->
+                      output_string oc
+                        (Hw.Verilog.emit subj.Transfo.Subject.circuit));
                   Printf.eprintf "transfo: wrote %s\n%!" path)
                 out)
   in
@@ -859,16 +842,7 @@ let serve_cmd =
   let run socket jobs store max_conns conn_workers conn_timeout batch_deadline
       max_inflight max_batch fault trace =
     arm_fault fault;
-    let store_t =
-      match store with
-      | None -> None
-      | Some dir -> (
-          match Store.attach dir with
-          | Ok t -> Some t
-          | Error e ->
-              Printf.eprintf "hlsvhc serve: --store %s: %s\n" dir e;
-              exit 2)
-    in
+    let store_t = attach_store store in
     Printf.eprintf
       "hlsvhc serve: listening on %s (store: %s, jobs: %s, workers: %d, \
        conn-timeout: %.1fs, max-inflight: %d)\n\
@@ -1039,4 +1013,20 @@ let main =
       verilog_cmd; sim_cmd; sweep_cmd; transfo_cmd; serve_cmd; store_cmd;
       waves_cmd; stats_cmd ]
 
-let () = exit (Cmd.eval main)
+(* An output path that cannot be written is the caller's to fix, not an
+   internal error: name the path and the reason, and exit as on bad
+   usage.  A failed [--trace] write surfaces from [with_trace]'s
+   [finally], wrapped.  Any other exception is reported as Cmdliner
+   reports one. *)
+let () =
+  match Cmd.eval ~catch:false main with
+  | code -> exit code
+  | exception
+      ( Core.Trace.Write_error { wr_path; wr_reason }
+      | Fun.Finally_raised (Core.Trace.Write_error { wr_path; wr_reason }) ) ->
+      Printf.eprintf "hlsvhc: cannot write %s: %s\n" wr_path wr_reason;
+      exit 2
+  | exception e ->
+      Printf.eprintf "hlsvhc: internal error, uncaught exception:\n%s\n"
+        (Printexc.to_string e);
+      exit Cmd.Exit.internal_error

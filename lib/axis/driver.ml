@@ -31,12 +31,12 @@ type ops = {
 let ops_of_engine engine circuit lanes =
   match engine with
   | Compiled ->
-      let sim = Sim.create_batch ~batch:lanes circuit in
+      let sim = Sim.create ~batch:lanes circuit in
       Sim.reset sim;
       {
-        ops_set = (fun lane -> Sim.set_lane sim ~lane);
-        ops_get = (fun lane -> Sim.get_lane sim ~lane);
-        ops_step = (fun () -> Sim.batch_step sim);
+        ops_set = (fun lane -> Sim.set ~lane sim);
+        ops_get = (fun lane -> Sim.get ~lane sim);
+        ops_step = (fun () -> Sim.step sim);
         ops_schedule = ("sim_thunks", Sim.compiled_nodes sim);
       }
   | Reference ->

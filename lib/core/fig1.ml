@@ -109,20 +109,6 @@ let points ?jobs ?tools ?kernel () =
 (* Machine-readable Fig. 1: the same point set as the ASCII scatter, one
    JSON object per series, written temp-file + rename so readers never
    observe a truncation. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_json ?(kernel = Kernel.idct) path series =
   Trace.write_atomic path (fun oc ->
       output_string oc "{\n  \"artifact\": \"fig1\",\n";
@@ -130,20 +116,21 @@ let write_json ?(kernel = Kernel.idct) path series =
          artifact; other kernels name themselves *)
       if Kernel.name kernel <> "idct" then
         Printf.fprintf oc "  \"kernel\": \"%s\",\n"
-          (json_escape (Kernel.name kernel));
+          (Trace.json_escape (Kernel.name kernel));
       output_string oc "  \"series\": [\n";
       List.iteri
         (fun i s ->
           Printf.fprintf oc
             "    {\"tool\": \"%s\", \"language\": \"%s\", \"points\": [\n"
-            (json_escape (Design.tool_name s.tool))
-            (json_escape (Design.language_name s.tool));
+            (Trace.json_escape (Design.tool_name s.tool))
+            (Trace.json_escape (Design.language_name s.tool));
           List.iteri
             (fun j p ->
               Printf.fprintf oc
                 "      {\"label\": \"%s\", \"area\": %d, \
                  \"throughput_mops\": %.6f, \"fmax_mhz\": %.6f}%s\n"
-                (json_escape p.label) p.area p.throughput_mops p.fmax_mhz
+                (Trace.json_escape p.label)
+                p.area p.throughput_mops p.fmax_mhz
                 (if j = List.length s.points - 1 then "" else ","))
             s.points;
           Printf.fprintf oc "    ]}%s\n"

@@ -70,6 +70,10 @@ val tools : (module KERNEL) -> Design.tool list
 
 val inventory : (module KERNEL) -> Design.tool -> inventory option
 
+val inventory_exn : (module KERNEL) -> Design.tool -> inventory
+(** @raise Invalid_argument ["kernel k has no t designs (tools: ...)"] if
+    the kernel has no such tool. *)
+
 val initial : (module KERNEL) -> Design.tool -> Design.t
 (** @raise Invalid_argument if the kernel has no such tool (message
     lists the tools it does have); same for the accessors below. *)

@@ -62,6 +62,10 @@ val write_atomic : string -> (out_channel -> unit) -> unit
     store.
     @raise Write_error when the file cannot be created or published *)
 
+val json_escape : string -> string
+(** The body of a JSON string literal: quotes, backslashes and control
+    characters escaped.  Shared by every JSON writer in the repo. *)
+
 val rename_durable : src:string -> dst:string -> unit
 (** Atomically publish [src] as [dst].  A plain [rename] when both sit
     on one filesystem; across filesystems ([EXDEV]) the bytes are copied

@@ -111,21 +111,8 @@ let render (r : Engine.result) =
 (* JSON                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_json path (r : Engine.result) =
+  let esc = Core.Trace.json_escape in
   let on_frontier =
     let keys =
       List.map (fun (p : Pareto.point) -> p.Pareto.pt_key) r.Engine.res_frontier
@@ -166,20 +153,19 @@ let write_json path (r : Engine.result) =
                 "    {\"key\": \"%s\", \"tool\": \"%s\", \"label\": \"%s\", \
                  \"coords\": \"%s\", \"area\": %d, \"throughput_mops\": %.6f, \
                  \"fmax_mhz\": %.6f, \"on_frontier\": %b}"
-                (json_escape key)
-                (json_escape
+                (esc key)
+                (esc
                    (Core.Design.tool_name ev.Engine.ev_candidate.Space.cand_tool))
-                (json_escape
-                   ev.Engine.ev_candidate.Space.cand_design.Core.Design.label)
-                (json_escape (Space.coords_desc ev.Engine.ev_candidate))
+                (esc ev.Engine.ev_candidate.Space.cand_design.Core.Design.label)
+                (esc (Space.coords_desc ev.Engine.ev_candidate))
                 m.Core.Metrics.area m.Core.Metrics.throughput_mops
                 m.Core.Metrics.fmax_mhz (on_frontier key)
           | Error e ->
               Printf.fprintf oc
                 "    {\"key\": \"%s\", \"error\": \"%s\", \"stage\": \"%s\"}"
-                (json_escape key)
-                (json_escape (Core.Flow.class_name e.Core.Flow.err_class))
-                (json_escape e.Core.Flow.err_stage));
+                (esc key)
+                (esc (Core.Flow.class_name e.Core.Flow.err_class))
+                (esc e.Core.Flow.err_stage));
           output_string oc (if i = n - 1 then "\n" else ",\n"))
         r.Engine.res_evaluated;
       output_string oc "  ]\n}\n")

@@ -17,26 +17,18 @@ val check :
     chunks, so high bits of wide datapaths are exercised too.
     @raise Invalid_argument on port mismatches. *)
 
-val crosscheck : ?cycles:int -> ?seed:int -> Netlist.t -> result
-(** Drives ONE circuit through all three simulation engines — the
-    reference interpreter ({!Interp}), the retained cone engine ({!Cone})
-    and the levelized batch engine ({!Compile}, behind {!Sim}, at
-    batch 1) — with identical pseudo-random stimulus (including all-ones
-    and sign-bit extremes at every width).  Outputs and register state
-    are compared every cycle; at the end every node value (exercising the
-    compiled engines' dead-node fallback) and every memory word is
-    compared.  The interpreter is the reference; mismatch labels carry
-    [" [cone]"] or [" [level]"] naming the engine that strayed, on top of
-    ["reg n<uid>"], ["n<uid>"] or ["<mem>[<addr>]"] for non-output
-    state. *)
-
-val crosscheck_batch :
-  ?cycles:int -> ?seed:int -> lanes:int -> Netlist.t -> result
-(** Drives ONE levelized instance with [lanes] lanes against [lanes]
-    independent interpreter instances, each lane fed its own random
-    stream.  Catches per-lane state bugs (cross-lane bleed in values,
-    registers or memories) invisible to the batch-1 {!crosscheck}.
-    Mismatch labels carry [" [lane <l>]"].
+val crosscheck : ?cycles:int -> ?seed:int -> ?lanes:int -> Netlist.t -> result
+(** Drives ONE circuit through the simulation engine ({!Sim}, created
+    with [lanes] lanes, default 1) and through [lanes] independent
+    reference interpreters ({!Interp}), each lane fed its own
+    pseudo-random stream (including all-ones and sign-bit extremes at
+    every width).  Outputs and register state are compared every cycle;
+    at the end every node value (exercising the engine's dead-node
+    fallback) and every memory word is compared, lane by lane.  The
+    interpreter value is [a], the engine's [b].  Mismatch labels name
+    the port, ["reg n<uid>"], ["n<uid>"] or ["<mem>[<addr>]"], then
+    [" [lane <l>]"].  More than one lane also catches per-lane state bugs
+    (cross-lane bleed in values, registers or memories).
     @raise Invalid_argument if [lanes < 1]. *)
 
 val pp_result : Format.formatter -> result -> unit

@@ -1,8 +1,7 @@
 (* Reference interpreter: walks the full levelized order every settle and
    dispatches on the node kind each time.  Kept as the semantic baseline the
-   compiled engine ({!Compile}) is cross-checked against, and as the slow
-   path of last resort.  Production simulation goes through {!Sim}, which
-   delegates to the compiled engine. *)
+   levelized engine ({!Sim}) is cross-checked against, and as the slow path
+   of last resort.  Production simulation goes through {!Sim}. *)
 
 type t = {
   c : Netlist.t;

@@ -2,10 +2,9 @@
 
     This is the semantic baseline: it re-dispatches on every node kind on
     every evaluation pass, with no dead-node elimination and no incremental
-    re-evaluation, so it is easy to audit but slow.  {!Sim} — the interface
-    the rest of the system uses — delegates to the compiled engine
-    ({!Compile}); this module is retained so the two can be cross-checked
-    cycle-by-cycle ({!Equiv.crosscheck}) and benchmarked against each other
+    re-evaluation, so it is easy to audit but slow.  {!Sim} — the levelized
+    engine the rest of the system uses — is cross-checked against this
+    module cycle-by-cycle ({!Equiv.crosscheck}) and benchmarked against it
     ([bench/main.ml]).
 
     Values are exchanged as OCaml [int]s in the unsigned representation of

@@ -2,10 +2,9 @@
 
     Every transformation declares {e how} its result must relate to its
     input; the {!Engine} discharges that obligation right after the
-    step, then additionally runs the three-way
-    {!Hw.Equiv.crosscheck} (and the batched
-    {!Hw.Equiv.crosscheck_batch}) on the result so the transformed
-    circuit is also self-consistent across all simulation engines. *)
+    step, then additionally runs {!Hw.Equiv.crosscheck} (at 1 and at 4
+    lanes) on the result so the transformed circuit is also simulated
+    identically by the engine and the reference interpreter. *)
 
 type obligation =
   | Cycle_exact

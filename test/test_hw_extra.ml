@@ -386,30 +386,32 @@ let random_circuit seed =
     (List.filteri (fun i _ -> i land 3 = 0) !pool);
   Builder.finalize b
 
-let engine_crosscheck_prop =
-  (* [crosscheck] is three-way: the reference interpreter against both the
-     retained cone engine and the levelized engine behind Hw.Sim. *)
-  QCheck.Test.make ~name:"3-way: interpreter == cone == levelized"
+let engine_crosscheck_prop lanes =
+  (* One levelized instance against as many reference interpreters as it
+     has lanes: batch 1 runs the engine's specialized sweep, the wider
+     batches catch cross-lane bleed. *)
+  QCheck.Test.make
+    ~name:
+      (if lanes = 1 then "engine == interpreter, single lane"
+       else Printf.sprintf "batched engine, %d lanes == %d interpreters" lanes lanes)
     ~count:15
     QCheck.(int_range 0 10_000)
     (fun seed ->
-      match Equiv.crosscheck ~cycles:1000 ~seed (random_circuit seed) with
+      match Equiv.crosscheck ~cycles:1000 ~seed ~lanes (random_circuit seed) with
       | Equiv.Equivalent -> true
       | Equiv.Mismatch _ as r ->
-          QCheck.Test.fail_reportf "%a" Equiv.pp_result r)
+          QCheck.Test.fail_reportf "%d lanes: %a" lanes Equiv.pp_result r)
 
-let batch_crosscheck_prop lanes =
-  QCheck.Test.make
-    ~name:(Printf.sprintf "batched engine, %d lanes == %d interpreters" lanes lanes)
-    ~count:8
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      match
-        Equiv.crosscheck_batch ~cycles:400 ~seed ~lanes (random_circuit seed)
-      with
-      | Equiv.Equivalent -> true
-      | Equiv.Mismatch _ as r ->
-          QCheck.Test.fail_reportf "%a" Equiv.pp_result r)
+let test_bad_lane_counts () =
+  let c = adder 8 "lanes0" in
+  (match Sim.create ~batch:0 c with
+  | exception Invalid_argument msg ->
+      check bool "names Sim.create" true (contains msg "Sim.create")
+  | _ -> Alcotest.fail "expected Invalid_argument from Sim.create ~batch:0");
+  match Equiv.crosscheck ~lanes:0 c with
+  | exception Invalid_argument msg ->
+      check bool "names Equiv.crosscheck" true (contains msg "Equiv.crosscheck")
+  | _ -> Alcotest.fail "expected Invalid_argument from crosscheck ~lanes:0"
 
 let () =
   Alcotest.run "hw-extra"
@@ -436,11 +438,10 @@ let () =
         :: Alcotest.test_case "port error messages" `Quick test_port_errors
         :: Alcotest.test_case "shl result wider than operand" `Quick
              test_shl_wider_result
-        :: QCheck_alcotest.to_alcotest engine_crosscheck_prop
-        :: [
-             QCheck_alcotest.to_alcotest (batch_crosscheck_prop 3);
-             QCheck_alcotest.to_alcotest (batch_crosscheck_prop 8);
-           ] );
+        :: List.map
+             (fun lanes -> QCheck_alcotest.to_alcotest (engine_crosscheck_prop lanes))
+             [ 1; 3; 8 ]
+        @ [ Alcotest.test_case "zero lanes rejected" `Quick test_bad_lane_counts ] );
       ( "device",
         [
           Alcotest.test_case "capacity check" `Quick test_capacity_check;

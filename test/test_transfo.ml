@@ -265,9 +265,9 @@ let test_rederive_chisel () =
 
 (* Random combinational circuits seeded with constant products (the
    strength_reduce target), then a random applicable script.  The engine
-   already discharges each step's obligation and crosschecks the result
-   through all three simulation engines, so [Ok] here means the whole
-   sequence verified. *)
+   already runs three checks per step — the step's obligation, then a
+   crosscheck of the result against the reference interpreter at 1 and
+   at 4 lanes — so [Ok] here means the whole sequence verified. *)
 let random_comb seed =
   let rng = Random.State.make [| seed; 0x7F23 |] in
   let widths = [| 2; 3; 7; 8; 12; 16; 24; 31; 33 |] in
