@@ -202,7 +202,7 @@ let bench_batch = 8
 
 let stream_circuit (d : Core.Design.t) =
   match d.Core.Design.impl with
-  | Core.Design.Stream c -> Lazy.force c
+  | Core.Design.Stream c -> Core.Design.force c
   | Core.Design.Pcie _ -> assert false
 
 (* Deterministic stimulus: every input wiggles every cycle, every output is
@@ -410,17 +410,20 @@ let sim_engines () =
 (* ------------------------------------------------------------------ *)
 
 let force_all_circuits () =
-  (* Force every lazy circuit once on this domain so construction cost
-     does not skew either timed run — both runs then measure evaluation
-     (simulation + synthesis) only. *)
-  List.iter
+  (* Force every lazy circuit once, timing each tool's elaboration, so
+     construction cost does not skew either timed run — both runs then
+     measure evaluation (simulation + synthesis) only.  Under [--json] this
+     is the first section, so the per-tool times are cold. *)
+  List.map
     (fun tool ->
+      let t0 = Unix.gettimeofday () in
       List.iter
         (fun (d : Core.Design.t) ->
           match d.Core.Design.impl with
-          | Core.Design.Stream c -> ignore (Lazy.force c)
-          | Core.Design.Pcie p -> ignore (Lazy.force p.Core.Design.system))
-        (Core.Registry.sweep tool))
+          | Core.Design.Stream c -> ignore (Core.Design.force c)
+          | Core.Design.Pcie p -> ignore (Core.Design.force p.Core.Design.system))
+        (Core.Registry.sweep tool);
+      (tool, Unix.gettimeofday () -. t0))
     Core.Design.all_tools
 
 let timed_fig1 jobs =
@@ -431,49 +434,57 @@ let timed_fig1 jobs =
   let dt = Unix.gettimeofday () -. t0 in
   (dt, series)
 
-let write_eval_json path ~designs ~seq_s ~par_s ~jobs =
+(* [parallel] is [Some (designs, seq_s, par_s, jobs)], or [None] when
+   only one core is available. *)
+let write_eval_json path ~elaborate ~parallel =
+  let cores = Domain.recommended_domain_count () in
+  let tools =
+    List.map
+      (fun (t, s) -> Printf.sprintf "\"%s\": %.3f" (Core.Design.tool_name t) s)
+      elaborate
+  in
   Core.Trace.write_atomic path (fun oc ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"bench\": \"eval_parallel\",\n\
-        \  \"designs\": %d,\n\
-        \  \"available_cores\": %d,\n\
-        \  \"sequential_s\": %.3f,\n\
-        \  \"parallel_s\": %.3f,\n\
-        \  \"jobs\": %d,\n\
-        \  \"speedup\": %.3f\n\
-         }\n"
-        designs
-        (Domain.recommended_domain_count ())
-        seq_s par_s jobs (seq_s /. par_s));
-  Printf.printf "(wrote %s)\n%!" path
-
-let write_eval_json_skipped path ~cores =
-  Core.Trace.write_atomic path (fun oc ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"bench\": \"eval_parallel\",\n\
-        \  \"available_cores\": %d,\n\
-        \  \"skipped\": true,\n\
-        \  \"reason\": \"single core available; a parallel-speedup number \
-         would only measure scheduler overhead\"\n\
-         }\n"
-        cores);
+      Printf.fprintf oc "{\n  \"bench\": \"eval_parallel\",\n";
+      Printf.fprintf oc "  \"available_cores\": %d,\n" cores;
+      Printf.fprintf oc "  \"elaborate_s\": { %s },\n"
+        (String.concat ", " tools);
+      Printf.fprintf oc "  \"elaborate_total_s\": %.3f,\n"
+        (List.fold_left (fun acc (_, s) -> acc +. s) 0. elaborate);
+      match parallel with
+      | Some (designs, seq_s, par_s, jobs) ->
+          Printf.fprintf oc
+            "  \"designs\": %d,\n\
+            \  \"sequential_s\": %.3f,\n\
+            \  \"parallel_s\": %.3f,\n\
+            \  \"jobs\": %d,\n\
+            \  \"speedup\": %.3f\n\
+             }\n"
+            designs seq_s par_s jobs (seq_s /. par_s)
+      | None ->
+          Printf.fprintf oc
+            "  \"skipped\": true,\n\
+            \  \"reason\": \"single core available; a parallel-speedup number \
+             would only measure scheduler overhead\"\n\
+             }\n");
   Printf.printf "(wrote %s)\n%!" path
 
 let eval_parallel () =
   section "Evaluation engine: sequential vs domain-parallel Fig. 1 sweep";
   let cores = Domain.recommended_domain_count () in
+  let elaborate = force_all_circuits () in
+  List.iter
+    (fun (t, s) ->
+      Printf.printf "elaborate %-12s %.3fs\n" (Core.Design.tool_name t) s)
+    elaborate;
   if cores < 2 then begin
     (* Time-slicing domains on one core cannot show a speedup; recording
        the inevitable <1x number would read as a regression. *)
     Printf.printf
       "only %d core available — parallel speedup is not measurable, skipping\n"
       cores;
-    write_eval_json_skipped "BENCH_eval.json" ~cores
+    write_eval_json "BENCH_eval.json" ~elaborate ~parallel:None
   end
   else begin
-    force_all_circuits ();
     let jobs = max 4 (Core.Parallel.default_jobs ()) in
     let seq_s, seq_series = timed_fig1 1 in
     let par_s, par_series = timed_fig1 jobs in
@@ -484,7 +495,8 @@ let eval_parallel () =
     Printf.printf
       "%d designs: sequential %.2fs, %d jobs %.2fs -> %.2fx (on %d cores)\n"
       designs seq_s jobs par_s (seq_s /. par_s) cores;
-    write_eval_json "BENCH_eval.json" ~designs ~seq_s ~par_s ~jobs
+    write_eval_json "BENCH_eval.json" ~elaborate
+      ~parallel:(Some (designs, seq_s, par_s, jobs))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -882,7 +894,7 @@ let bechamel_suite () =
   in
   let verilog_opt =
     match (Core.Registry.optimized Core.Design.Verilog).Core.Design.impl with
-    | Core.Design.Stream c -> Lazy.force c
+    | Core.Design.Stream c -> Core.Design.force c
     | Core.Design.Pcie _ -> assert false
   in
   let sim = Hw.Sim.create verilog_opt in
@@ -942,8 +954,8 @@ let () =
      BENCH_eval.json, BENCH_dse.json and BENCH_kernels.json — the fast
      path CI and future PRs use for a perf trajectory. *)
   if Array.exists (( = ) "--json") Sys.argv then begin
-    sim_engines ();
     eval_parallel ();
+    sim_engines ();
     dse_bench ();
     kernels_bench ();
     transfo_bench ();

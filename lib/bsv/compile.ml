@@ -19,7 +19,18 @@ let compile_with_schedule ?(options = Options.default) (m : Lang.modul) =
   let reg_sig rid =
     match regq.(rid) with Some s -> s | None -> failwith "unknown register"
   in
+  (* Memoized on physical identity: a repeat visit of a shared
+     subexpression would only hit the builder's hash-cons cache again, so
+     skipping it leaves node creation order, and the netlist, unchanged. *)
+  let memo = Lang.Shared.create 256 in
   let rec expr (e : Lang.expr) =
+    match Lang.Shared.find_opt memo e with
+    | Some s -> s
+    | None ->
+        let s = build e in
+        Lang.Shared.add memo e s;
+        s
+  and build (e : Lang.expr) =
     match e with
     | Lang.Const k -> Builder.constb b k
     | Lang.Read r -> reg_sig r.Lang.rid

@@ -90,17 +90,32 @@ let validate m =
     m.rules;
   List.iter (fun (_, e) -> ignore (infer_width e)) m.outputs
 
-let rec expr_reads acc = function
-  | Const _ | In _ -> acc
-  | Read r -> r.rid :: acc
-  | Unop (_, e) | Slice (e, _, _) | Uext (e, _) | Sext (e, _) ->
-      expr_reads acc e
-  | Binop (_, a, b) -> expr_reads (expr_reads acc a) b
-  | Mux (s, a, b) -> expr_reads (expr_reads (expr_reads acc s) a) b
+module Shared = Hashtbl.Make (struct
+  type t = expr
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+(* Each shared subexpression is visited once: the DAGs of a real design
+   have far more tree paths than nodes. *)
+let rec expr_reads seen acc e =
+  if Shared.mem seen e then acc
+  else begin
+    Shared.add seen e ();
+    let go = expr_reads seen in
+    match e with
+    | Const _ | In _ -> acc
+    | Read r -> r.rid :: acc
+    | Unop (_, e) | Slice (e, _, _) | Uext (e, _) | Sext (e, _) -> go acc e
+    | Binop (_, a, b) -> go (go acc a) b
+    | Mux (s, a, b) -> go (go (go acc s) a) b
+  end
 
 let dedup l = List.sort_uniq Int.compare l
 
 let read_set (ru : rule) =
+  let expr_reads = expr_reads (Shared.create 64) in
   let acc = expr_reads [] ru.guard in
   let acc =
     List.fold_left

@@ -48,6 +48,12 @@ val validate : modul -> unit
     ids and rule names, and that no rule writes one register twice (a rule
     is an atomic action). *)
 
+module Shared : Hashtbl.S with type key = expr
+(** Tables keyed by physical identity.  Expressions are immutable DAGs
+    whose subterms are shared by reference, so a walker that remembers
+    the nodes it has seen visits each shared subexpression once instead
+    of once per tree path. *)
+
 val read_set : rule -> int list
 (** Ids of registers the rule's guard, conditions or values read. *)
 

@@ -149,7 +149,7 @@ let inferred_mid_width =
 
 let mid_width = function
   | Fixed (_, store) -> store
-  | Inferred -> Lazy.force inferred_mid_width
+  | Inferred -> Hw.Once.force inferred_mid_width
 
 let row_unit mode b raw_ins =
   let ins = Array.map Dsl.of_raw raw_ins in

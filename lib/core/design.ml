@@ -25,16 +25,11 @@ type t = {
 
 let loc t = t.loc_fu + t.loc_axi + t.loc_conf
 
-(* Registry design points are shared top-level values, so their lazy
-   circuits can be forced from several domains at once — two concurrent
-   serve batches evaluating one design, say.  Raw [Lazy.force] raises
-   [Lazy.Undefined] on a concurrent force, so every forcing of a shared
-   design lazy must go through this lock.  No [is_val] fast path: while
-   one domain is mid-force the tag is already not [lazy_tag], so
-   [Lazy.is_val] answers [true] and an unlocked force would still race
-   (observed on OCaml 5.1). *)
-let force_lock = Mutex.create ()
-let force l = Mutex.protect force_lock (fun () -> Lazy.force l)
+(* Registry design points are shared top-level values whose lazy circuits
+   can be forced from several domains at once (two concurrent serve
+   batches evaluating one design, say), so every force of one goes
+   through [Hw.Once]. *)
+let force = Hw.Once.force
 
 let language_name = function
   | Verilog -> "Verilog"

@@ -1,4 +1,9 @@
-(** Uniform descriptor of one evaluated design point. *)
+(** Uniform descriptor of one evaluated design point.
+
+    A design's circuit (or MaxJ system) is a lazy, built on first use and
+    shared by every caller.  Force it with {!force} only: concurrent
+    forcers of one design wait for its single build, and different
+    designs build at the same time. *)
 
 type tool = Verilog | Chisel | Bsv | Dslx | Maxj | Bambu | Vivado_hls
 
@@ -29,10 +34,10 @@ val loc : t -> int
 (** [L = L^FU + L^AXI + L^Conf]. *)
 
 val force : 'a Lazy.t -> 'a
-(** Domain-safe forcing of a shared lazy (circuit, system): builds are
-    serialized under one process-wide lock, so concurrent evaluations of
-    one registry design never hit [Lazy]'s concurrent-force exception;
-    once built, reads are lock-free. *)
+(** Domain-safe forcing of a shared lazy (circuit, system): {!Hw.Once.force}.
+    Concurrent forcers of one design wait for its single build; different
+    designs elaborate at the same time.  Every force of a registry lazy
+    goes through here, including a derived design's force of its base. *)
 
 val language_name : tool -> string
 val tool_name : tool -> string

@@ -7,8 +7,10 @@
     result cache the evaluation pipeline layers on top.
 
     Jobs must not share mutable builder state across domains: a design's
-    lazy circuit constructor is forced inside the single job that owns it
-    (see DESIGN.md §9). *)
+    lazy circuit constructor is forced, through {!Design.force}, inside
+    the job that measures it (see DESIGN.md §9).  That force excludes only
+    other forcers of the same design, so different designs elaborate in
+    parallel across the pool. *)
 
 val default_jobs : unit -> int
 (** The [HLSVHC_JOBS] environment variable when set to a positive

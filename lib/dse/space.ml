@@ -75,13 +75,9 @@ let with_scripts ?(scripts = default_scripts) t =
             let impl =
               Core.Design.Stream
                 (lazy
-                  (* plain Lazy.force, NOT Design.force: this body already
-                     runs under the Design.force lock (the derived design
-                     is itself forced through it), so re-taking the
-                     non-reentrant lock would deadlock — and every other
-                     force of the base also holds that lock, so this one
-                     is race-free *)
-                  (let subject = Transfo.Subject.of_circuit (Lazy.force l) in
+                  (let subject =
+                     Transfo.Subject.of_circuit (Core.Design.force l)
+                   in
                    match
                      Transfo.Engine.run (Transfo.Script.parse_exn s) subject
                    with

@@ -116,7 +116,7 @@ let build_initial () =
   k
 
 let initial_kernel_memo = lazy (Kernel.finalize (build_initial ()))
-let initial_kernel () = Lazy.force initial_kernel_memo
+let initial_kernel () = Hw.Once.force initial_kernel_memo
 let initial_listing () = Kernel.listing (build_initial ())
 let initial_system () = Manager.build ~kernel:(initial_kernel ()) ~ticks_per_op:1 ()
 
@@ -201,9 +201,9 @@ let build_opt () =
   (Builder.finalize b, kr, kc)
 
 let opt_memo = lazy (build_opt ())
-let opt_kernel () = let c, _, _ = Lazy.force opt_memo in c
+let opt_kernel () = let c, _, _ = Hw.Once.force opt_memo in c
 let opt_system () =
-  let c, kr, kc = Lazy.force opt_memo in
+  let c, kr, kc = Hw.Once.force opt_memo in
   Manager.build ~depth:(kr + kc + 16) ~kernel:c ~ticks_per_op:8 ()
 
 let unit_listing name pass in_width =
@@ -262,7 +262,7 @@ let simulate_initial blocks =
   List.rev !outs
 
 let simulate_opt blocks =
-  let c, kr, kc = Lazy.force opt_memo in
+  let c, kr, kc = Hw.Once.force opt_memo in
   let sim = Sim.create c in
   Sim.reset sim;
   let inputs = Array.of_list blocks in

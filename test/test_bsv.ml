@@ -232,6 +232,98 @@ let test_option_sweep_negligible () =
   check bool "area varies by less than 10%" true
     (float_of_int (mx - mn) /. float_of_int mn < 0.10)
 
+
+(* ---------------- shared expression DAGs ---------------- *)
+
+(* Every BSC Fig. 1 point, pinned to the digest of its emitted Verilog as
+   the tree-walking compiler produced it: the memoized frontend must build
+   the very same netlists, node for node. *)
+let bsc_fig1_digests =
+  [
+    ("initial", "722412b6756b32818f7d74178dcee81e");
+    ("optimized", "d0be666944d88b7404a2ec0a3cb4dc01");
+    ("optimized/urgency=declared mux=priority aggressive=false effort=0", "d0be666944d88b7404a2ec0a3cb4dc01");
+    ("optimized/urgency=declared mux=priority aggressive=false effort=1", "d0be666944d88b7404a2ec0a3cb4dc01");
+    ("optimized/urgency=declared mux=priority aggressive=false effort=2", "d0be666944d88b7404a2ec0a3cb4dc01");
+    ("optimized/urgency=declared mux=priority aggressive=true effort=0", "9bd7999fde92dcf15a902f48e9f5b6df");
+    ("optimized/urgency=declared mux=priority aggressive=true effort=1", "9bd7999fde92dcf15a902f48e9f5b6df");
+    ("optimized/urgency=declared mux=priority aggressive=true effort=2", "9bd7999fde92dcf15a902f48e9f5b6df");
+    ("optimized/urgency=declared mux=one-hot aggressive=false effort=0", "e83d6abee13f82bf5ebfd917e3cfbfb2");
+    ("optimized/urgency=declared mux=one-hot aggressive=false effort=1", "e83d6abee13f82bf5ebfd917e3cfbfb2");
+    ("optimized/urgency=declared mux=one-hot aggressive=false effort=2", "e83d6abee13f82bf5ebfd917e3cfbfb2");
+    ("optimized/urgency=declared mux=one-hot aggressive=true effort=0", "2a2e3bbb714dfd18295467603fc045fa");
+    ("optimized/urgency=declared mux=one-hot aggressive=true effort=1", "2a2e3bbb714dfd18295467603fc045fa");
+    ("optimized/urgency=declared mux=one-hot aggressive=true effort=2", "2a2e3bbb714dfd18295467603fc045fa");
+    ("optimized/urgency=reversed mux=priority aggressive=false effort=0", "911b3d938ce98980aae7bbafb4c7573a");
+    ("optimized/urgency=reversed mux=priority aggressive=false effort=1", "911b3d938ce98980aae7bbafb4c7573a");
+    ("optimized/urgency=reversed mux=priority aggressive=false effort=2", "911b3d938ce98980aae7bbafb4c7573a");
+    ("optimized/urgency=reversed mux=priority aggressive=true effort=0", "59ac9d2f6f347657b43357efef7f7944");
+    ("optimized/urgency=reversed mux=priority aggressive=true effort=1", "59ac9d2f6f347657b43357efef7f7944");
+    ("optimized/urgency=reversed mux=priority aggressive=true effort=2", "59ac9d2f6f347657b43357efef7f7944");
+    ("optimized/urgency=reversed mux=one-hot aggressive=false effort=0", "b51b96fceabf17372144949f53590223");
+    ("optimized/urgency=reversed mux=one-hot aggressive=false effort=1", "b51b96fceabf17372144949f53590223");
+    ("optimized/urgency=reversed mux=one-hot aggressive=false effort=2", "b51b96fceabf17372144949f53590223");
+    ("optimized/urgency=reversed mux=one-hot aggressive=true effort=0", "a8b1cdf8b04153df4697bd96756adfbd");
+    ("optimized/urgency=reversed mux=one-hot aggressive=true effort=1", "a8b1cdf8b04153df4697bd96756adfbd");
+    ("optimized/urgency=reversed mux=one-hot aggressive=true effort=2", "a8b1cdf8b04153df4697bd96756adfbd");
+  ]
+
+let test_fig1_netlists_pinned () =
+  let sweep = Core.Registry.sweep Core.Design.Bsv in
+  check int "26 BSC points" 26 (List.length sweep);
+  List.iter2
+    (fun (d : Core.Design.t) (label, digest) ->
+      check Alcotest.string "sweep order" label d.Core.Design.label;
+      match d.Core.Design.impl with
+      | Core.Design.Stream c ->
+          let v = Hw.Verilog.emit (Core.Design.force c) in
+          check Alcotest.string label digest (Digest.to_hex (Digest.string v))
+      | Core.Design.Pcie _ -> Alcotest.fail "BSC points are streams")
+    sweep bsc_fig1_digests
+
+(* A value whose levels each reuse the level below twice: 2^30 tree paths
+   over ~90 distinct nodes.  Only a walker that visits each shared node
+   once can compile it or compute its read set. *)
+let test_deep_shared_dag () =
+  let reg rid rname rinit = { rid; rname; rwidth = 8; rinit } in
+  let x = Array.init 4 (fun i -> reg i (Printf.sprintf "x%d" i) (3 + (5 * i))) in
+  let acc = reg 4 "acc" 0 and idle = reg 5 "idle" 7 in
+  let depth = 30 in
+  let rec level k =
+    if k = 0 then Read x.(0)
+    else
+      let below = level (k - 1) in
+      Binop
+        (Hw.Netlist.Xor, below,
+         Binop (Hw.Netlist.Add, below, Read x.(1 + (k mod 3))))
+  in
+  let deep = level depth in
+  let rule = { rule_name = "deep"; guard = cst 1 1; actions = [ assign acc deep ] } in
+  check (Alcotest.list int) "read set: exactly the x registers" [ 0; 1; 2; 3 ]
+    (read_set rule);
+  let m =
+    {
+      mod_name = "deep";
+      inputs = [];
+      regs = Array.to_list x @ [ acc; idle ];
+      rules = [ rule ];
+      outputs = [ ("acc", Read acc) ];
+    }
+  in
+  let c = Bsv.Compile.compile m in
+  check bool "one node per distinct subexpression" true
+    (Hw.Netlist.num_nodes c < 200);
+  let expected =
+    let v = ref x.(0).rinit in
+    for k = 1 to depth do
+      v := !v lxor ((!v + x.(1 + (k mod 3)).rinit) land 0xff)
+    done;
+    !v
+  in
+  let sim = Hw.Sim.create c in
+  Hw.Sim.step sim;
+  check int "one firing computes the deep value" expected (Hw.Sim.get sim "acc")
+
 let () =
   Alcotest.run "bsv"
     [
@@ -255,5 +347,10 @@ let () =
         [
           Alcotest.test_case "designs bit-true with paper timing" `Slow test_idct_designs;
           Alcotest.test_case "options negligible (paper IV-B)" `Slow test_option_sweep_negligible;
+        ] );
+      ( "dag",
+        [
+          Alcotest.test_case "fig1 netlists pinned" `Quick test_fig1_netlists_pinned;
+          Alcotest.test_case "deep shared DAG" `Quick test_deep_shared_dag;
         ] );
     ]

@@ -225,6 +225,54 @@ let test_keep_going_all_run () =
         (Core.Flow.class_name e.Core.Flow.err_class)
   | Ok _ -> Alcotest.fail "first point must fail"
 
+(* Elaboration runs in parallel across designs: a crash injected into the
+   elaborate stage of every BSC optimized point, in a keep-going Fig. 1 at
+   two jobs, fails exactly those points and leaves every other point equal
+   to the clean run's. *)
+let test_keep_going_fig1_elaborate () =
+  let target = "BSC/optimized" in
+  let victims =
+    Core.Registry.sweep Core.Design.Bsv
+    |> List.map Core.Flow.span_key
+    |> List.filter (contains ~sub:target)
+  in
+  check int "the optimized point and its 24 option points" 25
+    (List.length victims);
+  let fresh () =
+    Core.Fig1.clear_cache ();
+    Core.Evaluate.clear_measure_cache ()
+  in
+  fresh ();
+  Core.Faultinject.arm
+    { Core.Faultinject.fault = Crash "elaborate"; target; seed = 0 };
+  let faulted, errors =
+    Fun.protect ~finally:Core.Faultinject.disarm (fun () ->
+        Core.Fig1.compute_result ~jobs:2 ())
+  in
+  check (Alcotest.list string) "exactly the BSC optimized points fail" victims
+    (List.map (fun e -> e.Core.Flow.err_design) errors);
+  List.iter
+    (fun e -> check string "in the elaborate stage" "elaborate" e.Core.Flow.err_stage)
+    errors;
+  fresh ();
+  let clean = Core.Fig1.compute ~jobs:2 () in
+  List.iter2
+    (fun (f : Core.Fig1.series) (c : Core.Fig1.series) ->
+      let survivors =
+        List.filter
+          (fun (p : Core.Fig1.point) ->
+            not
+              (c.Core.Fig1.tool = Core.Design.Bsv
+              && List.mem ("BSC/" ^ p.Core.Fig1.label) victims))
+          c.Core.Fig1.points
+      in
+      check bool
+        (Core.Design.tool_name c.Core.Fig1.tool ^ ": survivors equal the clean run")
+        true
+        (f.Core.Fig1.points = survivors))
+    faulted clean;
+  fresh ()
+
 (* ---------------- fault-spec parsing ---------------- *)
 
 let test_parse_specs () =
@@ -336,6 +384,8 @@ let () =
             test_keep_going_sweep;
           Alcotest.test_case "early failure aborts nothing" `Quick
             test_keep_going_all_run;
+          Alcotest.test_case "fig1 elaborate crash, 2 jobs" `Slow
+            test_keep_going_fig1_elaborate;
         ] );
       ( "spec",
         [ Alcotest.test_case "parse and round-trip" `Quick test_parse_specs ] );

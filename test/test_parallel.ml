@@ -1,10 +1,138 @@
-(* The domain-parallel evaluation engine: pool semantics, determinism of
-   the Fig. 1 pipeline under parallel evaluation, the shared measurement
-   cache, and the fixed multi-line-comment LOC counter. *)
+(* The domain-parallel evaluation engine: concurrent forcing of shared
+   design lazies, pool semantics, determinism of the Fig. 1 pipeline under
+   parallel evaluation, the shared measurement cache, and the fixed
+   multi-line-comment LOC counter. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
+
+(* ---------------- concurrent forcing of shared lazies ---------------- *)
+
+(* Spawn [n] domains that each pass a barrier, then run [f index]. *)
+let race n f =
+  let entered = Atomic.make 0 in
+  List.init n (fun i ->
+      Domain.spawn (fun () ->
+          Atomic.incr entered;
+          while Atomic.get entered < n do
+            Domain.cpu_relax ()
+          done;
+          f i))
+  |> List.map Domain.join
+
+type built = Circuit of Hw.Netlist.t | System of Maxj.Manager.system
+
+let same a b =
+  match (a, b) with
+  | Circuit x, Circuit y -> x == y
+  | System x, System y -> x == y
+  | _ -> false
+
+let shuffled ~seed xs =
+  let a = Array.of_list xs in
+  let rng = Random.State.make [| seed |] in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+(* Runs first in this executable, so the design lazies are still cold. *)
+let test_concurrent_design_force () =
+  let designs =
+    List.concat_map
+      (fun k ->
+        List.concat_map
+          (fun i -> i.Core.Kernel.inv_sweep)
+          (Core.Kernel.inventories k))
+      Core.Kernel.all
+    |> Array.of_list
+  in
+  check bool "idct Fig. 1, fir8 and matmul8 points" true
+    (Array.length designs > 100);
+  let force i =
+    match designs.(i).Core.Design.impl with
+    | Core.Design.Stream c -> Circuit (Core.Design.force c)
+    | Core.Design.Pcie p -> System (Core.Design.force p.Core.Design.system)
+  in
+  let per_domain =
+    race 4 (fun d ->
+        let got = Array.make (Array.length designs) None in
+        List.iter
+          (fun i -> got.(i) <- Some (force i))
+          (shuffled ~seed:d (List.init (Array.length designs) Fun.id));
+        Array.map Option.get got)
+  in
+  let first = List.hd per_domain in
+  List.iter
+    (fun got ->
+      Array.iteri
+        (fun i v ->
+          check bool
+            (Core.Flow.span_key designs.(i) ^ ": one value across domains")
+            true (same first.(i) v))
+        got)
+    per_domain
+
+let test_raising_force_shared () =
+  let forcers = Atomic.make 0 in
+  let l =
+    lazy
+      ((* hold the force until every domain has asked for it *)
+       while Atomic.get forcers < 4 do
+         Domain.cpu_relax ()
+       done;
+       failwith "elaboration failed")
+  in
+  let outcomes =
+    race 4 (fun _ ->
+        Atomic.incr forcers;
+        match Core.Design.force l with
+        | () -> None
+        | exception e -> Some e)
+  in
+  match outcomes with
+  | Some e :: rest ->
+      check bool "the body's exception" true (e = Failure "elaboration failed");
+      List.iter
+        (fun o -> check bool "every forcer gets that same exception" true
+            (match o with Some e' -> e' == e | None -> false))
+        rest
+  | _ -> Alcotest.fail "domain 0 must see the exception"
+
+(* The [dse --transfo] shape: a derived lazy whose body forces its base,
+   forced from two domains while a third forces the base directly. *)
+let test_derived_force () =
+  let waiting = Atomic.make 0 in
+  let base =
+    lazy
+      (while Atomic.get waiting < 3 do
+         Domain.cpu_relax ()
+       done;
+       ref 1)
+  in
+  let derived = lazy (Core.Design.force base, ref 2) in
+  let got =
+    race 3 (fun i ->
+        Atomic.incr waiting;
+        if i = 2 then (Core.Design.force base, ref 0)
+        else Core.Design.force derived)
+  in
+  match got with
+  | [ (b1, d1); (b2, d2); (b3, _) ] ->
+      check bool "one derived value" true (d1 == d2);
+      check bool "one base value" true (b1 == b2 && b2 == b3)
+  | _ -> Alcotest.fail "three results"
+
+let test_self_recursive_force () =
+  let rec l = lazy (Core.Design.force l + 1) in
+  (match Core.Design.force l with
+  | _ -> Alcotest.fail "a self-recursive force must raise"
+  | exception Lazy.Undefined -> ());
+  check int "other lazies still force" 3 (Core.Design.force (lazy 3))
 
 (* ---------------- the pool itself ---------------- *)
 
@@ -196,6 +324,17 @@ let test_loc_alpha_consistency () =
 let () =
   Alcotest.run "parallel"
     [
+      ( "force",
+        [
+          Alcotest.test_case "4 domains force every design" `Slow
+            test_concurrent_design_force;
+          Alcotest.test_case "raising lazy shared" `Quick
+            test_raising_force_shared;
+          Alcotest.test_case "derived lazy forces its base" `Quick
+            test_derived_force;
+          Alcotest.test_case "self-recursive force raises" `Quick
+            test_self_recursive_force;
+        ] );
       ( "pool",
         [
           Alcotest.test_case "map preserves order" `Quick
