@@ -395,14 +395,18 @@ let waves_cmd =
           | [] -> Axis.Block.create ()
         in
         let w = Hw.Waves.create sim in
+        let set = Hw.Sim.set_port sim ~lane:0 in
+        let port = Hw.Sim.input_port sim in
+        let s_valid = port Axis.Stream.s_valid
+        and s_last = port Axis.Stream.s_last
+        and s_data = Array.init 8 (fun l -> port (Axis.Stream.s_data l)) in
         Hw.Sim.set sim Axis.Stream.m_ready 1;
         for cyc = 0 to cycles - 1 do
           let beat = cyc mod 8 in
-          Hw.Sim.set sim Axis.Stream.s_valid 1;
-          Hw.Sim.set sim Axis.Stream.s_last (if beat = 7 then 1 else 0);
+          set s_valid 1;
+          set s_last (if beat = 7 then 1 else 0);
           for l = 0 to 7 do
-            Hw.Sim.set sim (Axis.Stream.s_data l)
-              (Axis.Block.get m ~row:beat ~col:l)
+            set s_data.(l) (Axis.Block.get m ~row:beat ~col:l)
           done;
           Hw.Waves.step w
         done;

@@ -13,17 +13,33 @@ let sign_extend w v =
 
 type engine = Compiled | Reference
 
-(* The engine as a record of the four operations the testbench needs,
-   lane-indexed.  [Compiled] is [Hw.Sim] (the default, and the historical
-   behavior) — one levelized instance whose batch dimension carries all
-   lanes, advanced by a single [step].  [Reference] is the retained
-   interpreter, kept drivable end to end so the flow can degrade onto it
-   when the compiled engine fails on a design (see Core.Flow); it has no
-   batch dimension, so it becomes one instance per lane stepped in
-   lockstep. *)
+(* The stream ports by position, so the per-cycle loop never builds or
+   hashes a port name: three handshake ports per side, then data lane [c]
+   at position [data0 + c]. *)
+let data0 = 3
+let in_names =
+  Array.append
+    [| Stream.s_valid; Stream.s_last; Stream.m_ready |]
+    (Array.init Stream.lanes Stream.s_data)
+let in_s_valid = 0 and in_s_last = 1 and in_m_ready = 2
+
+let out_names =
+  Array.append
+    [| Stream.s_ready; Stream.m_valid; Stream.m_last |]
+    (Array.init Stream.lanes Stream.m_data)
+let out_s_ready = 0 and out_m_valid = 1 and out_m_last = 2
+
+(* The engine as a record of the operations the testbench needs, indexed
+   by lane and port position.  [Compiled] is [Hw.Sim] (the default) — one
+   levelized instance whose batch dimension carries all lanes, advanced
+   by a single [step], its ports resolved once here.  [Reference] is the
+   retained interpreter, kept drivable end to end so the flow can degrade
+   onto it when the compiled engine fails on a design (see Core.Flow); it
+   has no batch dimension, so it becomes one instance per lane stepped in
+   lockstep, addressed through the name tables. *)
 type ops = {
-  ops_set : int -> string -> int -> unit;
-  ops_get : int -> string -> int;
+  ops_set : int -> int -> int -> unit;  (* lane, input position, value *)
+  ops_get : int -> int -> int;          (* lane, output position *)
   ops_step : unit -> unit;
   ops_schedule : string * int;  (* hook counter name and value *)
 }
@@ -33,9 +49,11 @@ let ops_of_engine engine circuit lanes =
   | Compiled ->
       let sim = Sim.create ~batch:lanes circuit in
       Sim.reset sim;
+      let ins = Array.map (Sim.input_port sim) in_names in
+      let outs = Array.map (Sim.output_port sim) out_names in
       {
-        ops_set = (fun lane -> Sim.set ~lane sim);
-        ops_get = (fun lane -> Sim.get ~lane sim);
+        ops_set = (fun lane i v -> Sim.set_port sim ins.(i) ~lane v);
+        ops_get = (fun lane i -> Sim.get_port sim outs.(i) ~lane);
         ops_step = (fun () -> Sim.step sim);
         ops_schedule = ("sim_thunks", Sim.compiled_nodes sim);
       }
@@ -43,8 +61,8 @@ let ops_of_engine engine circuit lanes =
       let sims = Array.init lanes (fun _ -> Interp.create circuit) in
       Array.iter Interp.reset sims;
       {
-        ops_set = (fun lane -> Interp.set sims.(lane));
-        ops_get = (fun lane -> Interp.get sims.(lane));
+        ops_set = (fun lane i v -> Interp.set sims.(lane) in_names.(i) v);
+        ops_get = (fun lane i -> Interp.get sims.(lane) out_names.(i));
         ops_step = (fun () -> Array.iter Interp.step sims);
         ops_schedule = ("interp_nodes", Netlist.num_nodes circuit);
       }
@@ -98,15 +116,20 @@ let run ?(engine = Compiled) ?(batch = 1) ?(input_gap = 0)
   if n_lanes > 1 then hook "sim_batch" n_lanes;
   let inputs = Array.of_list matrices in
   (* Per-lane testbench state.  [mat_idx] is the absolute index into
-     [inputs]; a lane is done when it reaches the end of its chunk. *)
+     [inputs]; a lane is done when it reaches the end of its chunk.  The
+     output matrix being collected is [current.(l)], holding
+     [rows.(l)] rows so far; [sampled.(l)] is the lane's output beat,
+     reused every cycle. *)
   let mat_idx = Array.init n_lanes (fun l -> chunk_start.(l)) in
   let beat_idx = Array.make n_lanes 0 and gap_left = Array.make n_lanes 0 in
   let collected = Array.make n_lanes [] in
-  let current_rows = Array.make n_lanes [] in
+  let current = Array.init n_lanes (fun _ -> Block.create ()) in
+  let rows = Array.make n_lanes 0 in
+  let sampled = Array.init n_lanes (fun _ -> Array.make lanes 0) in
   let first_in_cycle = Array.make n_mat (-1) in
   let last_out_cycle = Array.make n_mat (-1) in
   let out_mat = Array.make n_lanes 0 in
-  let traces = Array.make n_lanes [] in
+  let monitors = Array.init n_lanes (fun _ -> Monitor.create ()) in
   let cycle = ref 0 in
   let all_done () =
     let d = ref true in
@@ -121,8 +144,8 @@ let run ?(engine = Compiled) ?(batch = 1) ?(input_gap = 0)
     for l = 0 to n_lanes - 1 do
       let lane_end = chunk_start.(l) + chunk_len.(l) in
       let driving = mat_idx.(l) < lane_end && gap_left.(l) = 0 in
-      sim.ops_set l Stream.s_valid (if driving then 1 else 0);
-      sim.ops_set l Stream.s_last
+      sim.ops_set l in_s_valid (if driving then 1 else 0);
+      sim.ops_set l in_s_last
         (if driving && beat_idx.(l) = lanes - 1 then 1 else 0);
       for c = 0 to lanes - 1 do
         let v =
@@ -130,30 +153,23 @@ let run ?(engine = Compiled) ?(batch = 1) ?(input_gap = 0)
             Block.get inputs.(mat_idx.(l)) ~row:beat_idx.(l) ~col:c
           else 0
         in
-        sim.ops_set l (Stream.s_data c) v
+        sim.ops_set l (data0 + c) v
       done;
-      sim.ops_set l Stream.m_ready (if ready then 1 else 0)
+      sim.ops_set l in_m_ready (if ready then 1 else 0)
     done;
     (* Observe handshakes, every lane. *)
     for l = 0 to n_lanes - 1 do
       let lane_end = chunk_start.(l) + chunk_len.(l) in
       let driving = mat_idx.(l) < lane_end && gap_left.(l) = 0 in
-      let s_ready = sim.ops_get l Stream.s_ready = 1 in
-      let m_valid = sim.ops_get l Stream.m_valid = 1 in
-      let m_last = sim.ops_get l Stream.m_last = 1 in
-      let data =
-        Array.init lanes (fun c ->
-            sign_extend Stream.out_width (sim.ops_get l (Stream.m_data c)))
-      in
-      traces.(l) <-
-        {
-          Monitor.cycle = !cycle;
-          valid = m_valid;
-          ready;
-          last = m_last;
-          data;
-        }
-        :: traces.(l);
+      let s_ready = sim.ops_get l out_s_ready = 1 in
+      let m_valid = sim.ops_get l out_m_valid = 1 in
+      let m_last = sim.ops_get l out_m_last = 1 in
+      let data = sampled.(l) in
+      for c = 0 to lanes - 1 do
+        data.(c) <- sign_extend Stream.out_width (sim.ops_get l (data0 + c))
+      done;
+      Monitor.observe monitors.(l) ~cycle:!cycle ~valid:m_valid ~ready
+        ~last:m_last ~data;
       if driving && s_ready then begin
         if beat_idx.(l) = 0 then first_in_cycle.(mat_idx.(l)) <- !cycle;
         beat_idx.(l) <- beat_idx.(l) + 1;
@@ -166,14 +182,15 @@ let run ?(engine = Compiled) ?(batch = 1) ?(input_gap = 0)
       else if (not driving) && gap_left.(l) > 0 then
         gap_left.(l) <- gap_left.(l) - 1;
       if m_valid && ready then begin
-        current_rows.(l) <- Array.copy data :: current_rows.(l);
-        if List.length current_rows.(l) = lanes then begin
-          let rows = Array.of_list (List.rev current_rows.(l)) in
-          collected.(l) <- Block.of_rows rows :: collected.(l);
+        Block.set_row current.(l) rows.(l) data;
+        rows.(l) <- rows.(l) + 1;
+        if rows.(l) = lanes then begin
+          collected.(l) <- current.(l) :: collected.(l);
           if out_mat.(l) < chunk_len.(l) then
             last_out_cycle.(chunk_start.(l) + out_mat.(l)) <- !cycle;
           out_mat.(l) <- out_mat.(l) + 1;
-          current_rows.(l) <- []
+          current.(l) <- Block.create ();
+          rows.(l) <- 0
         end
       end
     done;
@@ -194,7 +211,7 @@ let run ?(engine = Compiled) ?(batch = 1) ?(input_gap = 0)
           collected %d/%d output beats (%d/%d matrices), consumed %d/%d \
           input beats"
          circuit.Netlist.circuit_name !cycle duty n_lanes
-         (sum (fun l -> (out_mat.(l) * lanes) + List.length current_rows.(l)))
+         (sum (fun l -> (out_mat.(l) * lanes) + rows.(l)))
          (n_mat * lanes)
          (sum (fun l -> out_mat.(l)))
          n_mat
@@ -222,8 +239,7 @@ let run ?(engine = Compiled) ?(batch = 1) ?(input_gap = 0)
       (List.init n_lanes (fun l -> List.rev collected.(l)))
   in
   let violations =
-    List.concat
-      (List.init n_lanes (fun l -> Monitor.check (List.rev traces.(l))))
+    List.concat (List.init n_lanes (fun l -> Monitor.finish monitors.(l)))
   in
   { outputs; latency; periodicity; cycles = !cycle; violations }
 

@@ -13,7 +13,13 @@
     per simulation lane of the levelized engine, and every lane runs its
     own independent copy of the testbench on a shared clock — one pass
     over the compiled schedule advances all of them.  Results concatenate
-    back in input order; protocol monitoring runs per lane. *)
+    back in input order; protocol monitoring runs per lane.
+
+    The testbench resolves the stream ports once per run and monitors the
+    output side online ({!Monitor.observe}) as it simulates, so its
+    per-cycle loop builds no port names, hashes none, and keeps no trace:
+    on the compiled engine a cycle allocates nothing beyond the output
+    matrices it collects. *)
 
 type result = {
   outputs : Block.t list;

@@ -5,11 +5,13 @@ let out_width = 9
 let s_valid = "s_valid"
 let s_ready = "s_ready"
 let s_last = "s_last"
-let s_data i = Printf.sprintf "s_data%d" i
+let s_data_names = Array.init lanes (Printf.sprintf "s_data%d")
+let s_data i = s_data_names.(i)
 let m_valid = "m_valid"
 let m_ready = "m_ready"
 let m_last = "m_last"
-let m_data i = Printf.sprintf "m_data%d" i
+let m_data_names = Array.init lanes (Printf.sprintf "m_data%d")
+let m_data i = m_data_names.(i)
 
 type ports = {
   s_valid : Hw.Builder.s;

@@ -28,10 +28,13 @@ val s_valid : string
 val s_ready : string
 val s_last : string
 val s_data : int -> string
+(** [s_data k] is ["s_data" ^ k], for [0 <= k < lanes]. *)
+
 val m_valid : string
 val m_ready : string
 val m_last : string
 val m_data : int -> string
+(** [m_data k] is ["m_data" ^ k], for [0 <= k < lanes]. *)
 
 type ports = {
   s_valid : Hw.Builder.s;

@@ -206,11 +206,16 @@ let top_fn =
 
 let program = { fns = [ row_fn; col_fn; top_fn ]; top = "idct" }
 
-let kernel_circuit () =
-  (match Typecheck.check_program program with
-  | Ok () -> ()
-  | Error e -> failwith ("dslx idct does not typecheck: " ^ e));
-  Lower.circuit program
+(* Every XLS point stamps the same lowered kernel, so typecheck and lower
+   once; a netlist is immutable, so domains share it. *)
+let kernel_memo =
+  lazy
+    ((match Typecheck.check_program program with
+     | Ok () -> ()
+     | Error e -> failwith ("dslx idct does not typecheck: " ^ e));
+     Lower.circuit program)
+
+let kernel_circuit () = Hw.Once.force kernel_memo
 
 let design ?(stages = 0) ~name () =
   let kernel_net =

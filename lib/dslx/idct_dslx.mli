@@ -6,7 +6,8 @@ val program : Ir.program
     64 samples out). *)
 
 val kernel_circuit : unit -> Hw.Netlist.t
-(** Elaborated combinational kernel (ports [m_0..m_63] / [out_0..out_63]). *)
+(** Elaborated combinational kernel (ports [m_0..m_63] / [out_0..out_63]),
+    typechecked and lowered on the first call and shared afterwards. *)
 
 val design : ?stages:int -> name:string -> unit -> Hw.Netlist.t
 (** Complete AXI-Stream design.  [stages = 0] (default) is the

@@ -13,9 +13,8 @@ type t = {
   mutable cells : pending array;
   mutable count : int;
   cache : (Netlist.kind * int, s) Hashtbl.t;
-  mutable ins : (string * Netlist.uid) list;
-  mutable outs : (string * Netlist.uid) list;
-  mutable unconnected : (Netlist.uid * string) list;
+  mutable ins : (string * Netlist.uid) list;         (* reversed *)
+  mutable outs : (string * Netlist.uid) list;        (* reversed *)
   mutable mems : (string * int * int) list;          (* reversed: name, size, width *)
   mutable mem_writes : (int * Netlist.write_port) list;
 }
@@ -28,7 +27,6 @@ let create cname =
     cache = Hashtbl.create 256;
     ins = [];
     outs = [];
-    unconnected = [];
     mems = [];
     mem_writes = [];
   }
@@ -63,7 +61,7 @@ let pure t kind width =
 
 let input t name w =
   let s = raw_add t (Netlist.Input name) w (Some name) in
-  t.ins <- t.ins @ [ (name, s.suid) ];
+  t.ins <- (name, s.suid) :: t.ins;
   s
 
 let constb t b = pure t (Netlist.Const b) (Bits.width b)
@@ -232,9 +230,7 @@ let reg t ?enable ?(init = 0) ~width name =
         init = Bits.create ~width init;
       }
   in
-  let s = raw_add t kind width (Some name) in
-  t.unconnected <- (s.suid, name) :: t.unconnected;
-  s
+  raw_add t kind width (Some name)
 
 let connect t q d =
   let cell = t.cells.(q.suid) in
@@ -247,15 +243,14 @@ let connect t q d =
           (Printf.sprintf "Builder.connect: width mismatch (%d vs %d)" q.swidth
              d.swidth);
       cell.nkind <- Netlist.Reg { r with d = d.suid }
-  | _ -> failwith "Builder.connect: not a register");
-  t.unconnected <- List.filter (fun (u, _) -> u <> q.suid) t.unconnected
+  | _ -> failwith "Builder.connect: not a register")
 
 let reg_next t ?enable ?init ?(name = "pipe") d =
   let q = reg t ?enable ?init ~width:d.swidth name in
   connect t q d;
   q
 
-let output t name s = t.outs <- t.outs @ [ (name, s.suid) ]
+let output t name s = t.outs <- (name, s.suid) :: t.outs
 
 let name t s n =
   t.cells.(s.suid).nname <- Some n;
@@ -286,13 +281,17 @@ let mem_write t m ~enable ~addr ~data =
     (m.mid, { Netlist.w_enable = enable.suid; w_addr = addr.suid; w_data = data.suid })
     :: t.mem_writes
 
+(* A register still on the sentinel was never connected; report the one
+   declared last. *)
 let finalize t =
-  (match t.unconnected with
-  | [] -> ()
-  | (_, n) :: _ ->
-      failwith
-        (Printf.sprintf "Builder.finalize(%s): register %s never connected"
-           t.cname n));
+  for i = t.count - 1 downto 0 do
+    match t.cells.(i) with
+    | { nkind = Netlist.Reg { d; _ }; nname; _ } when d = unconnected_sentinel ->
+        failwith
+          (Printf.sprintf "Builder.finalize(%s): register %s never connected"
+             t.cname (Option.get nname))
+    | _ -> ()
+  done;
   let nodes =
     Array.init t.count (fun i ->
         let c = t.cells.(i) in
@@ -317,8 +316,8 @@ let finalize t =
       Netlist.circuit_name = t.cname;
       nodes;
       mems;
-      inputs = t.ins;
-      outputs = t.outs;
+      inputs = List.rev t.ins;
+      outputs = List.rev t.outs;
     }
   in
   Netlist.validate circuit;

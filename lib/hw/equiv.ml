@@ -22,25 +22,31 @@ let check ?(cycles = 64) ?(seed = 42) ?(settle = 0) (ca : Netlist.t)
   in
   if outs ca <> outs cb then invalid_arg "Equiv.check: output ports differ";
   let sa = Sim.create ca and sb = Sim.create cb in
+  let ins = Array.of_list (ports ca) and outs = Array.of_list (outs ca) in
+  let resolve f sim ps = Array.map (fun (nm, _) -> f sim nm) ps in
+  let ia = resolve Sim.input_port sa ins and ib = resolve Sim.input_port sb ins in
+  let oa = resolve Sim.output_port sa outs
+  and ob = resolve Sim.output_port sb outs in
   let rng = Random.State.make [| seed |] in
   let result = ref Equivalent in
   (try
      for cycle = 0 to cycles - 1 do
-       List.iter
-         (fun (nm, w) ->
+       Array.iteri
+         (fun i (_, w) ->
            let v = draw rng w in
-           Sim.set sa nm v;
-           Sim.set sb nm v)
-         (ports ca);
+           Sim.set_port sa ia.(i) ~lane:0 v;
+           Sim.set_port sb ib.(i) ~lane:0 v)
+         ins;
        if cycle >= settle then
-         List.iter
-           (fun (nm, _) ->
-             let a = Sim.get sa nm and b = Sim.get sb nm in
+         Array.iteri
+           (fun i (nm, _) ->
+             let a = Sim.get_port sa oa.(i) ~lane:0
+             and b = Sim.get_port sb ob.(i) ~lane:0 in
              if a <> b then begin
                result := Mismatch { cycle; port = nm; a; b };
                raise Exit
              end)
-           (outs ca);
+           outs;
        Sim.step sa;
        Sim.step sb
      done
@@ -72,12 +78,15 @@ let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
   let rngs =
     Array.init lanes (fun l -> Random.State.make [| seed; 0x5eed; l |])
   in
-  let ins = List.map fst c.Netlist.inputs in
-  let outs = List.map fst c.Netlist.outputs in
+  let ins = Array.of_list (List.map fst c.Netlist.inputs) in
+  let outs = Array.of_list (List.map fst c.Netlist.outputs) in
+  let in_ports = Array.map (Sim.input_port sim) ins in
+  let out_ports = Array.map (Sim.output_port sim) outs in
   let regs =
-    Array.to_list c.Netlist.nodes
-    |> List.filter Netlist.is_reg
-    |> List.map (fun (nd : Netlist.node) -> nd.Netlist.uid)
+    Array.of_list
+      (Array.to_list c.Netlist.nodes
+      |> List.filter Netlist.is_reg
+      |> List.map (fun (nd : Netlist.node) -> nd.Netlist.uid))
   in
   let result = ref Equivalent in
   (* The interpreter value is the reference [a], the engine's is [b]. *)
@@ -89,27 +98,28 @@ let crosscheck ?(cycles = 1000) ?(seed = 7) ?(lanes = 1) (c : Netlist.t) =
     end
   in
   let node_label u () = Printf.sprintf "n%d" u in
+  let out_labels = Array.map (fun nm () -> nm) outs in
+  let reg_labels = Array.map (fun u () -> "reg " ^ node_label u ()) regs in
   (try
      for cycle = 0 to cycles - 1 do
        for l = 0 to lanes - 1 do
-         List.iter
-           (fun nm ->
+         Array.iteri
+           (fun i nm ->
              let v = wide_random rngs.(l) in
              Interp.set refs.(l) nm v;
-             Sim.set ~lane:l sim nm v)
+             Sim.set_port sim in_ports.(i) ~lane:l v)
            ins
        done;
        for l = 0 to lanes - 1 do
-         List.iter
-           (fun nm ->
-             expect cycle l (fun () -> nm) (Interp.get refs.(l) nm)
-               (Sim.get ~lane:l sim nm))
+         Array.iteri
+           (fun i nm ->
+             expect cycle l out_labels.(i) (Interp.get refs.(l) nm)
+               (Sim.get_port sim out_ports.(i) ~lane:l))
            outs;
-         List.iter
-           (fun u ->
-             expect cycle l
-               (fun () -> "reg " ^ node_label u ())
-               (Interp.peek refs.(l) u) (Sim.peek ~lane:l sim u))
+         Array.iteri
+           (fun i u ->
+             expect cycle l reg_labels.(i) (Interp.peek refs.(l) u)
+               (Sim.peek ~lane:l sim u))
            regs
        done;
        Array.iter Interp.step refs;

@@ -1008,38 +1008,52 @@ let lane_check t caller lane =
       (Printf.sprintf "%s: lane %d out of range (batch %d)" caller lane
          t.batch)
 
-let set ?(lane = 0) t port v =
-  match Hashtbl.find_opt t.ports_in port with
-  | None -> Netlist.port_error t.c `In ~caller:"Sim.set" port
-  | Some u ->
-      lane_check t "Sim.set" lane;
-      let v = v land t.masks.(u) in
-      let idx = (t.slot.(u) * t.batch) + lane in
-      if t.vals.(idx) <> v then begin
-        t.vals.(idx) <- v;
-        t.generation <- t.generation + 1;
-        t.dirty <- true
-      end
+(* A resolved port: the node (for its mask and width) and the base index
+   of its lane block in [vals].  Both port kinds share the representation;
+   the interface keeps them apart. *)
+type port = { p_uid : Netlist.uid; p_base : int }
+type input_port = port
+type output_port = port
 
-let get ?(lane = 0) t port =
-  match Hashtbl.find_opt t.ports_out port with
-  | None -> Netlist.port_error t.c `Out ~caller:"Sim.get" port
-  | Some u ->
-      lane_check t "Sim.get" lane;
-      settle t;
-      t.vals.((t.slot.(u) * t.batch) + lane)
+let resolve t dir ~caller name =
+  let tbl = match dir with `In -> t.ports_in | `Out -> t.ports_out in
+  match Hashtbl.find_opt tbl name with
+  | None -> Netlist.port_error t.c dir ~caller name
+  | Some u -> { p_uid = u; p_base = t.slot.(u) * t.batch }
+
+let input_port t name = resolve t `In ~caller:"Sim.input_port" name
+let output_port t name = resolve t `Out ~caller:"Sim.output_port" name
+
+let set_port t p ~lane v =
+  lane_check t "Sim.set" lane;
+  let v = v land t.masks.(p.p_uid) in
+  let idx = p.p_base + lane in
+  if t.vals.(idx) <> v then begin
+    t.vals.(idx) <- v;
+    t.generation <- t.generation + 1;
+    t.dirty <- true
+  end
+
+let read caller t p lane =
+  lane_check t caller lane;
+  settle t;
+  t.vals.(p.p_base + lane)
+
+let get_port t p ~lane = read "Sim.get" t p lane
 
 let signed_of t uid v =
   let w = t.widths.(uid) in
   if v land (1 lsl (w - 1)) <> 0 then v - (1 lsl w) else v
 
+let set ?(lane = 0) t port v =
+  set_port t (resolve t `In ~caller:"Sim.set" port) ~lane v
+
+let get ?(lane = 0) t port =
+  get_port t (resolve t `Out ~caller:"Sim.get" port) ~lane
+
 let get_signed ?(lane = 0) t port =
-  match Hashtbl.find_opt t.ports_out port with
-  | None -> Netlist.port_error t.c `Out ~caller:"Sim.get_signed" port
-  | Some u ->
-      lane_check t "Sim.get_signed" lane;
-      settle t;
-      signed_of t u t.vals.((t.slot.(u) * t.batch) + lane)
+  let p = resolve t `Out ~caller:"Sim.get_signed" port in
+  signed_of t p.p_uid (read "Sim.get_signed" t p lane)
 
 let step t =
   settle t;

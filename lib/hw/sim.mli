@@ -20,6 +20,14 @@
     argument defaults to lane 0, so single-lane callers never see the
     batch dimension.
 
+    Ports are addressed by name ({!set}, {!get}) or through a handle
+    resolved once ({!input_port}, {!output_port}) and then driven and
+    read with {!set_port}/{!get_port}, which index the value array
+    directly: a per-cycle testbench resolves its ports before the first
+    cycle and does no string hashing afterwards.  The by-name functions
+    are resolve-then-access wrappers over the same path, so masking,
+    lane checks and the dirty flag behave identically either way.
+
     Dead logic is eliminated from the schedule and fanout-1 concat chains
     are fused; {!peek} of an eliminated node falls back to per-lane
     on-demand evaluation.  The reference interpreter ({!Interp}) defines
@@ -50,16 +58,39 @@ val reset : t -> unit
 (** Loads every register with its [init] value and zeroes the memories,
     in every lane.  Inputs keep their current values (initially 0). *)
 
+type input_port
+type output_port
+(** A port resolved against one simulator instance.  A handle belongs to
+    the instance that resolved it and is valid for its lifetime (across
+    {!reset}). *)
+
+val input_port : t -> string -> input_port
+(** @raise Invalid_argument on an unknown input name, listing the
+    circuit's input ports. *)
+
+val output_port : t -> string -> output_port
+(** @raise Invalid_argument on an unknown output name, listing the
+    circuit's output ports. *)
+
+val set_port : t -> input_port -> lane:int -> int -> unit
+(** [set_port sim p ~lane v] drives input [p] of lane [lane] with [v]
+    (masked to the port width; negative values are taken as two's
+    complement).  Allocates nothing.
+    @raise Invalid_argument on an out-of-range lane. *)
+
+val get_port : t -> output_port -> lane:int -> int
+(** Unsigned value of output [p] in lane [lane], after settling the
+    fabric.  Allocates nothing.
+    @raise Invalid_argument on an out-of-range lane. *)
+
 val set : ?lane:int -> t -> string -> int -> unit
-(** [set ~lane sim port v] drives input [port] of lane [lane] (default 0)
-    with [v] (masked to the port width; negative values are taken as
-    two's complement).
+(** [set ~lane sim port v] is {!set_port} on [port] resolved by name;
+    [lane] defaults to 0.
     @raise Invalid_argument on an unknown input name (listing the
     circuit's input ports) or an out-of-range lane. *)
 
 val get : ?lane:int -> t -> string -> int
-(** Unsigned value of an output port in lane [lane] (default 0), after
-    settling the fabric.
+(** {!get_port} on [port] resolved by name; [lane] defaults to 0.
     @raise Invalid_argument on an unknown output name or a bad lane. *)
 
 val get_signed : ?lane:int -> t -> string -> int

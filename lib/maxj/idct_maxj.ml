@@ -237,21 +237,27 @@ let opt_listing () =
 (* Bit-true simulation                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The kernel's ports [name 0 .. name (n-1)], resolved once per run. *)
+let ports resolve sim name n =
+  Array.init n (fun i -> resolve sim (Printf.sprintf name i))
+
 let simulate_initial blocks =
   let c = initial_kernel () in
   let depth = Kernel.pipeline_depth c in
   let sim = Sim.create c in
   Sim.reset sim;
+  let m = ports Sim.input_port sim "m_%d" 64
+  and out = ports Sim.output_port sim "out_%d" 64 in
   let n = List.length blocks in
   let inputs = Array.of_list blocks in
   let outs = ref [] in
   for t = 0 to n + depth - 1 do
     if t < n then
-      Array.iteri (fun i v -> Sim.set sim (Printf.sprintf "m_%d" i) v) inputs.(t);
+      Array.iteri (fun i v -> Sim.set_port sim m.(i) ~lane:0 v) inputs.(t);
     if t >= depth then begin
       let blk = Axis.Block.create () in
       for i = 0 to 63 do
-        let v = Sim.get sim (Printf.sprintf "out_%d" i) in
+        let v = Sim.get_port sim out.(i) ~lane:0 in
         let v = if v land 0x100 <> 0 then v - 512 else v in
         blk.(i) <- v
       done;
@@ -265,17 +271,19 @@ let simulate_opt blocks =
   let c, kr, kc = Hw.Once.force opt_memo in
   let sim = Sim.create c in
   Sim.reset sim;
+  let m = ports Sim.input_port sim "m_%d" 8
+  and out = ports Sim.output_port sim "out_%d" 8 in
   let inputs = Array.of_list blocks in
   let n = Array.length inputs in
   let results = Array.init n (fun _ -> Axis.Block.create ()) in
   let got = Array.make n 0 in
   let total_ticks = (8 * (n + 2)) + kr + kc + 16 in
   for t = 0 to total_ticks - 1 do
-    let m = t / 8 and r = t mod 8 in
-    if m < n then
+    let mat = t / 8 and r = t mod 8 in
+    if mat < n then
       for cidx = 0 to 7 do
-        Sim.set sim (Printf.sprintf "m_%d" cidx)
-          (Axis.Block.get inputs.(m) ~row:r ~col:cidx)
+        Sim.set_port sim m.(cidx) ~lane:0
+          (Axis.Block.get inputs.(mat) ~row:r ~col:cidx)
       done;
     (* The column emerging now belongs to matrix [(t - kr - kc)/8 - 1]. *)
     let u = t - kr - kc in
@@ -283,7 +291,7 @@ let simulate_opt blocks =
       let src = (u / 8) - 1 and col = u mod 8 in
       if src >= 0 && src < n then begin
         for r' = 0 to 7 do
-          let v = Sim.get sim (Printf.sprintf "out_%d" r') in
+          let v = Sim.get_port sim out.(r') ~lane:0 in
           let v = if v land 0x100 <> 0 then v - 512 else v in
           Axis.Block.set results.(src) ~row:r' ~col v
         done;

@@ -20,7 +20,12 @@ let rec draw rng w =
   else (draw rng (w - 30) lsl 30) lor Random.State.bits rng
 
 let port_widths (c : Netlist.t) ports =
-  List.map (fun (nm, u) -> (nm, (Netlist.node c u).Netlist.width)) ports
+  Array.of_list
+    (List.map (fun (nm, u) -> (nm, (Netlist.node c u).Netlist.width)) ports)
+
+(* Resolves (name, width) ports once, ahead of the cycle loop. *)
+let resolve ?(suffix = "") f sim ports =
+  Array.map (fun (nm, _) -> f sim (nm ^ suffix)) ports
 
 let cycle_exact ~cycles ~seed (a : Netlist.t) (b : Netlist.t) =
   match Equiv.check ~cycles ~seed a b with
@@ -41,33 +46,36 @@ let delayed ~cycles ~seed ~lat (a : Netlist.t) (b : Netlist.t) =
     let sa = Sim.create a and sb = Sim.create b in
     Sim.reset sa;
     Sim.reset sb;
+    let ia = resolve Sim.input_port sa ins
+    and ib = resolve Sim.input_port sb ins in
+    let oa = resolve Sim.output_port sa outs
+    and ob = resolve Sim.output_port sb outs in
     let rng = Random.State.make [| seed; 0x7A5F |] in
     let total = cycles + lat in
-    let hist = Array.make total [] in
+    let hist = Array.make total [||] in
     let result = ref (Ok ()) in
     (try
        for t = 0 to total - 1 do
-         List.iter
-           (fun (nm, w) ->
+         Array.iteri
+           (fun i (_, w) ->
              let v = draw rng w in
-             Sim.set sa nm v;
-             Sim.set sb nm v)
+             Sim.set_port sa ia.(i) ~lane:0 v;
+             Sim.set_port sb ib.(i) ~lane:0 v)
            ins;
-         hist.(t) <- List.map (fun (nm, _) -> (nm, Sim.get sa nm)) outs;
+         hist.(t) <- Array.map (fun p -> Sim.get_port sa p ~lane:0) oa;
          if t >= lat then
-           List.iter2
-             (fun (nm, _) (_, expect) ->
-               let got = Sim.get sb nm in
+           Array.iteri
+             (fun i expect ->
+               let got = Sim.get_port sb ob.(i) ~lane:0 in
                if got <> expect then begin
                  result :=
                    Error
                      (Printf.sprintf
                         "delayed-by-%d mismatch: output %s at cycle %d: \
                          original %d, transformed %d"
-                        lat nm t expect got);
+                        lat (fst outs.(i)) t expect got);
                  raise Exit
                end)
-             outs
              hist.(t - lat);
          Sim.step sa;
          Sim.step sb
@@ -84,28 +92,31 @@ let replicated ~cycles ~seed ~k (a : Netlist.t) (b : Netlist.t) =
   let sa = Sim.create a and sb = Sim.create b in
   Sim.reset sa;
   Sim.reset sb;
+  let ia = resolve Sim.input_port sa ins
+  and oa = resolve Sim.output_port sa outs in
+  let copy j = Printf.sprintf "_r%d" j in
+  let ib = Array.init k (fun j -> resolve ~suffix:(copy j) Sim.input_port sb ins)
+  and ob =
+    Array.init k (fun j -> resolve ~suffix:(copy j) Sim.output_port sb outs)
+  in
   let rng = Random.State.make [| seed; 0x4E9B |] in
   let result = ref (Ok ()) in
   (try
      for t = 0 to cycles - 1 do
-       let stim =
-         Array.init k (fun _ -> List.map (fun (nm, w) -> (nm, draw rng w)) ins)
-       in
+       let stim = Array.init k (fun _ -> Array.map (fun (_, w) -> draw rng w) ins) in
        Array.iteri
          (fun j vals ->
-           List.iter
-             (fun (nm, v) -> Sim.set sb (Printf.sprintf "%s_r%d" nm j) v)
-             vals)
+           Array.iteri (fun i v -> Sim.set_port sb ib.(j).(i) ~lane:0 v) vals)
          stim;
        Array.iteri
          (fun j vals ->
            (* the original is purely combinational (the transformation's
               precondition), so one instance re-driven per lane suffices *)
-           List.iter (fun (nm, v) -> Sim.set sa nm v) vals;
-           List.iter
-             (fun (nm, _) ->
-               let expect = Sim.get sa nm in
-               let got = Sim.get sb (Printf.sprintf "%s_r%d" nm j) in
+           Array.iteri (fun i v -> Sim.set_port sa ia.(i) ~lane:0 v) vals;
+           Array.iteri
+             (fun i (nm, _) ->
+               let expect = Sim.get_port sa oa.(i) ~lane:0 in
+               let got = Sim.get_port sb ob.(j).(i) ~lane:0 in
                if got <> expect then begin
                  result :=
                    Error

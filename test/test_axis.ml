@@ -221,6 +221,166 @@ let test_driver_batched_matches_sequential () =
   check bool "transform_batch matches" true
     (List.for_all2 Axis.Block.equal got seq.Axis.Driver.outputs)
 
+(* ---------------- online monitor vs a list-based fold ---------------- *)
+
+(* The rules as a fold over a recorded trace: the checker's definition,
+   kept here independent of the online implementation. *)
+let reference_check (samples : Axis.Monitor.sample list) =
+  let violations = ref [] in
+  let report at_cycle rule =
+    violations := { Axis.Monitor.at_cycle; rule } :: !violations
+  in
+  let _ =
+    List.fold_left
+      (fun (beats, stalled) (s : Axis.Monitor.sample) ->
+        (match stalled with
+        | Some (p : Axis.Monitor.sample) ->
+            if not s.valid then
+              report s.cycle "m_valid deasserted while a beat was stalled"
+            else begin
+              if s.data <> p.data then
+                report s.cycle "m_data changed while a beat was stalled";
+              if s.last <> p.last then
+                report s.cycle "m_last changed while a beat was stalled"
+            end
+        | None -> ());
+        if s.last && not s.valid then
+          report s.cycle "m_last asserted without m_valid";
+        let beats =
+          if s.valid && s.ready then begin
+            let beats = beats + 1 in
+            let should_last = beats mod 8 = 0 in
+            if s.last && not should_last then
+              report s.cycle
+                (Printf.sprintf "m_last on beat %d (expected every 8th)" beats);
+            if should_last && not s.last then
+              report s.cycle (Printf.sprintf "missing m_last on beat %d" beats);
+            beats
+          end
+          else beats
+        in
+        (beats, if s.valid && not s.ready then Some s else None))
+      (0, None) samples
+  in
+  List.rev !violations
+
+(* A mostly well-formed stream with every kind of fault mixed in: a
+   stalled beat usually holds but sometimes drops valid or changes data
+   or last; framing is usually right but sometimes early or missing;
+   last sometimes comes without valid. *)
+let random_trace rng n =
+  let pick k = Random.State.int rng k = 0 in
+  let beats = ref 0 in
+  let rec go cycle (prev : Axis.Monitor.sample option) acc =
+    if cycle = n then List.rev acc
+    else
+      let s =
+        match prev with
+        | Some p when p.valid && (not p.ready) && not (pick 4) ->
+            { p with cycle; ready = not (pick 2) }
+        | _ ->
+            let valid = not (pick 4) in
+            let last =
+              if valid then ((!beats + 1) mod 8 = 0) <> pick 8 else pick 10
+            in
+            {
+              Axis.Monitor.cycle;
+              valid;
+              ready = not (pick 3);
+              last;
+              data = Array.init 8 (fun _ -> Random.State.int rng 3);
+            }
+      in
+      let s =
+        match prev with
+        | Some p when p.valid && (not p.ready) && s.valid && pick 6 ->
+            if pick 2 then { s with data = Array.map succ p.data }
+            else { s with last = not p.last }
+        | _ -> s
+      in
+      if s.valid && s.ready then incr beats;
+      go (cycle + 1) (Some s) (s :: acc)
+  in
+  go 0 None []
+
+let test_monitor_online_equals_fold () =
+  let rules = Hashtbl.create 8 in
+  for seed = 1 to 300 do
+    let rng = Random.State.make [| seed |] in
+    let trace = random_trace rng (20 + Random.State.int rng 60) in
+    let expected = reference_check trace in
+    let label = Printf.sprintf "seed %d" seed in
+    check bool (label ^ ": check") true (Axis.Monitor.check trace = expected);
+    (* online, with the caller reusing one data buffer as the driver does *)
+    let m = Axis.Monitor.create () and buf = Array.make 8 0 in
+    List.iter
+      (fun (s : Axis.Monitor.sample) ->
+        Array.blit s.data 0 buf 0 8;
+        Axis.Monitor.observe m ~cycle:s.cycle ~valid:s.valid ~ready:s.ready
+          ~last:s.last ~data:buf)
+      trace;
+    check bool (label ^ ": observe") true (Axis.Monitor.finish m = expected);
+    List.iter
+      (fun (v : Axis.Monitor.violation) ->
+        Hashtbl.replace rules (String.sub v.rule 0 (min 14 (String.length v.rule))) ())
+      expected
+  done;
+  (* the traces reach every rule *)
+  List.iter
+    (fun r -> check bool ("reached: " ^ r) true (Hashtbl.mem rules r))
+    [ "m_valid deasse"; "m_data changed"; "m_last changed"; "m_last asserte";
+      "m_last on beat"; "missing m_last" ]
+
+(* ---------------- both engines, one testbench ---------------- *)
+
+let bambu_initial () =
+  match (Core.Registry.initial Core.Design.Bambu).Core.Design.impl with
+  | Core.Design.Stream c -> Core.Design.force c
+  | Core.Design.Pcie _ -> Alcotest.fail "Bambu designs are streams"
+
+let test_engines_agree () =
+  let c = bambu_initial () in
+  let inputs = List.map Idct.Reference.fdct (mats 4) in
+  List.iter
+    (fun batch ->
+      let run engine =
+        Axis.Driver.run ~engine ~batch ~input_gap:3
+          ~ready_pattern:(fun t -> t mod 5 <> 2 && t mod 7 <> 0)
+          c inputs
+      in
+      let a = run Axis.Driver.Compiled and b = run Axis.Driver.Reference in
+      let label what = Printf.sprintf "batch %d: %s" batch what in
+      check bool (label "outputs") true
+        (List.for_all2 Axis.Block.equal a.Axis.Driver.outputs
+           b.Axis.Driver.outputs);
+      check int (label "latency") a.latency b.latency;
+      check int (label "periodicity") a.periodicity b.periodicity;
+      check int (label "cycles") a.cycles b.cycles;
+      check bool (label "violations") true (a.violations = b.violations);
+      check bool (label "bit true") true
+        (List.for_all2 Axis.Block.equal a.outputs
+           (List.map Idct.Chenwang.idct inputs)))
+    [ 1; 3 ]
+
+(* ---------------- allocation ---------------- *)
+
+(* Minor words per simulated cycle of a whole batch-1 run (engine
+   construction included), on the design family that dominates Fig. 1's
+   simulated cycles.  A testbench that builds port names, hashes them or
+   records its trace allocates well over 1,000. *)
+let test_driver_allocation () =
+  let c = bambu_initial () in
+  let inputs = List.map Idct.Reference.fdct (mats 4) in
+  ignore (Axis.Driver.run c inputs);
+  let before = Gc.minor_words () in
+  let r = Axis.Driver.run c inputs in
+  let words = Gc.minor_words () -. before in
+  let per_cycle = words /. float_of_int r.Axis.Driver.cycles in
+  check bool
+    (Printf.sprintf "%.1f minor words per cycle (%d cycles) <= 32" per_cycle
+       r.cycles)
+    true (per_cycle <= 32.)
+
 let () =
   Alcotest.run "axis"
     [
@@ -230,6 +390,8 @@ let () =
           Alcotest.test_case "stability violation" `Quick test_monitor_stability;
           Alcotest.test_case "dropped valid" `Quick test_monitor_drop_valid;
           Alcotest.test_case "framing" `Quick test_monitor_framing;
+          Alcotest.test_case "online = reference fold" `Quick
+            test_monitor_online_equals_fold;
         ] );
       ( "adapters",
         [
@@ -244,5 +406,12 @@ let () =
             test_driver_timeout_reports_batch;
           Alcotest.test_case "batched run == sequential run" `Quick
             test_driver_batched_matches_sequential;
+        ] );
+      ( "driver",
+        [
+          Alcotest.test_case "compiled = reference engine" `Quick
+            test_engines_agree;
+          Alcotest.test_case "allocation per cycle" `Quick
+            test_driver_allocation;
         ] );
     ]

@@ -121,6 +121,20 @@ let test_builder_unconnected () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected failure for unconnected register")
 
+let test_builder_unconnected_message () =
+  (* Two registers left unconnected, a connected one declared after them:
+     the diagnostic names the later unconnected one. *)
+  let b = Builder.create "bad" in
+  let _q1 = Builder.reg b ~width:4 "q1" in
+  let _q2 = Builder.reg b ~width:4 "q2" in
+  let q3 = Builder.reg b ~width:4 "q3" in
+  Builder.connect b q3 q3;
+  match Builder.finalize b with
+  | exception Failure msg ->
+      check Alcotest.string "message"
+        "Builder.finalize(bad): register q2 never connected" msg
+  | _ -> Alcotest.fail "expected failure for unconnected registers"
+
 let test_comb_cycle_detect () =
   (* A combinational cycle through two wires must be rejected. *)
   let b = Builder.create "loop" in
@@ -322,6 +336,39 @@ let test_stamp_comb () =
   Sim.set sim "x" 1;
   check int "two instances compose" 11 (Sim.get sim "y")
 
+(* Stamping creates every register before connecting any, so the cost of
+   a connect must not depend on how many registers await theirs: minor
+   words grow linearly with the register count. *)
+let stamp_words n =
+  let inner =
+    let b = Builder.create "chain" in
+    let q = ref (Builder.input b "x" 8) in
+    for _ = 1 to n do
+      q := Builder.reg_next b !q
+    done;
+    Builder.output b "y" !q;
+    Builder.finalize b
+  in
+  let before = Gc.minor_words () in
+  let b = Builder.create "outer" in
+  let x = Builder.input b "x" 8 in
+  let o = Instantiate.stamp b inner ~inputs:[ ("x", x) ] in
+  Builder.output b "y" (List.assoc "y" o);
+  let c = Builder.finalize b in
+  let words = Gc.minor_words () -. before in
+  check int "registers stamped" n
+    (Array.fold_left
+       (fun k nd -> if Netlist.is_reg nd then k + 1 else k)
+       0 c.Netlist.nodes);
+  words
+
+let test_stamp_linear () =
+  let small = stamp_words 5_000 and large = stamp_words 20_000 in
+  check bool
+    (Printf.sprintf "4x registers cost %.1fx the words" (large /. small))
+    true
+    (large /. small < 5.)
+
 let test_stamp_seq () =
   let inner =
     let b = Builder.create "cnt" in
@@ -399,6 +446,8 @@ let () =
           Alcotest.test_case "hash-consing" `Quick test_builder_hashcons;
           Alcotest.test_case "mux_list" `Quick test_builder_mux_list;
           Alcotest.test_case "unconnected register" `Quick test_builder_unconnected;
+          Alcotest.test_case "unconnected register message" `Quick
+            test_builder_unconnected_message;
           Alcotest.test_case "register self-loop ok" `Quick test_comb_cycle_detect;
         ] );
       ( "sim",
@@ -425,6 +474,8 @@ let () =
         [
           Alcotest.test_case "combinational stamp" `Quick test_stamp_comb;
           Alcotest.test_case "sequential stamp with enable" `Quick test_stamp_seq;
+          Alcotest.test_case "stamping is linear in registers" `Quick
+            test_stamp_linear;
         ] );
       ( "verilog",
         [
