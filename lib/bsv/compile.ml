@@ -1,7 +1,6 @@
 open Hw
 
-let compile_with_schedule ?(options = Options.default) (m : Lang.modul) =
-  let sched = Sched.analyze ~options m in
+let build (options : Options.t) (m : Lang.modul) (sched : Sched.t) =
   let b = Builder.create m.Lang.mod_name in
   let inputs = Hashtbl.create 8 in
   List.iter
@@ -157,6 +156,45 @@ let compile_with_schedule ?(options = Options.default) (m : Lang.modul) =
           Builder.connect b q data)
     m.Lang.regs;
   List.iter (fun (name, e) -> Builder.output b name (expr e)) m.Lang.outputs;
-  (Builder.finalize b, sched)
+  Builder.finalize b
+
+(* [build] reads exactly the module, the scheduled rule order, the
+   conflict matrix and two options; effort and the precedence matrix only
+   shape the conflict matrix.  So points whose schedules agree on these
+   get one compile and the physically same netlist. *)
+type key = {
+  modul : Lang.modul;
+  order : Lang.rule array;
+  conflict : bool array array;
+  aggressive : bool;
+  mux : Options.mux_style;
+}
+
+module Compiled = Hw.Once.Table (struct
+  type t = key
+
+  let equal a b =
+    a.modul == b.modul
+    && Array.length a.order = Array.length b.order
+    && Array.for_all2 ( == ) a.order b.order
+    && a.conflict = b.conflict && a.aggressive = b.aggressive && a.mux = b.mux
+
+  let hash k = Hashtbl.hash (k.modul.Lang.mod_name, k.conflict, k.aggressive, k.mux)
+end)
+
+let compiled : Netlist.t Compiled.t = Compiled.create 16
+
+let compile_with_schedule ?(options = Options.default) (m : Lang.modul) =
+  let sched = Sched.analyze ~options m in
+  let key =
+    {
+      modul = m;
+      order = sched.Sched.rules;
+      conflict = sched.Sched.conflict;
+      aggressive = options.Options.aggressive_conditions;
+      mux = options.Options.mux_style;
+    }
+  in
+  (Compiled.find_or_compute compiled key (fun () -> build options m sched), sched)
 
 let compile ?options m = fst (compile_with_schedule ?options m)

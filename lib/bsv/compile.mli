@@ -15,3 +15,11 @@ val compile : ?options:Options.t -> Lang.modul -> Hw.Netlist.t
 
 val compile_with_schedule :
   ?options:Options.t -> Lang.modul -> Hw.Netlist.t * Sched.t
+(** The netlist and the caller's own schedule ({!Sched.analyze}).
+
+    Compiles are memoized process-wide on what the netlist depends on:
+    the module (by physical identity), the scheduled rule order, the
+    conflict matrix, [aggressive_conditions] and [mux_style].  Option
+    points whose schedules agree there (the effort levels of one
+    configuration, usually) share one compile and the physically same
+    netlist. *)

@@ -24,16 +24,34 @@ let guards_disjoint (r1 : Lang.rule) (r2 : Lang.rule) =
         f2)
     f1
 
+(* A rule's read and write sets depend on the rule alone, so they are
+   computed once per module, found by physical identity, and shared by
+   every analysis of it (one per option point of a sweep). *)
+module Modules = Hw.Once.Table (struct
+  type t = Lang.modul
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let footprints : (int list * int list) array Modules.t = Modules.create 8
+
+let footprint m =
+  Modules.find_or_compute footprints m (fun () ->
+      Array.of_list
+        (List.map (fun ru -> (Lang.read_set ru, Lang.write_set ru)) m.Lang.rules))
+
 let analyze ?(options = Options.default) (m : Lang.modul) =
-  let ordered =
+  let urgent a =
     match options.Options.urgency with
-    | Options.Declared -> m.Lang.rules
-    | Options.Reversed -> List.rev m.Lang.rules
+    | Options.Declared -> a
+    | Options.Reversed -> Array.of_list (List.rev (Array.to_list a))
   in
-  let rules = Array.of_list ordered in
+  let rules = urgent (Array.of_list m.Lang.rules) in
+  let footprint = urgent (footprint m) in
   let n = Array.length rules in
-  let reads = Array.map Lang.read_set rules in
-  let writes = Array.map Lang.write_set rules in
+  let reads = Array.map fst footprint in
+  let writes = Array.map snd footprint in
   let conflict = Array.make_matrix n n false in
   let precede = Array.make_matrix n n false in
   let disjoint i j = options.Options.effort >= 2 && guards_disjoint rules.(i) rules.(j) in

@@ -22,6 +22,9 @@ type t = {
 }
 
 val analyze : ?options:Options.t -> Lang.modul -> t
+(** The schedule under [options].  Each rule's read and write sets are
+    computed once per module (found by physical identity) and reused by
+    every later analysis of that module. *)
 
 val guards_disjoint : Lang.rule -> Lang.rule -> bool
 (** Syntactic disjointness: both guards contain [Eq (Read r, Const k)]

@@ -63,10 +63,13 @@ let measure ?(matrices = 4) ~(spec : Flow.spec) (d : Design.t) :
                   sb.sb_add key m;
                   m)))
 
-(* Clears the in-process memo only: entries in an attached persistent
-   store survive (the store is the whole point — results outliving the
-   process), which the store coherence tests pin down. *)
-let clear_measure_cache = Measure_cache.clear
+(* Clears the in-process memos only (per design key, and Flow's per
+   netlist): entries in an attached persistent store survive (the store
+   is the whole point — results outliving the process), which the store
+   coherence tests pin down. *)
+let clear_measure_cache () =
+  Measure_cache.clear ();
+  Flow.clear_shared ()
 
 (* Map [measure] over independent designs on the domain pool.  Each
    design's lazy circuit is forced inside its own job, so no builder state

@@ -18,11 +18,13 @@ val measure : ?matrices:int -> spec:Flow.spec -> Design.t -> Metrics.measured
     [Flow.idct_spec] (or resolve one through {!Kernel}) explicitly.
     Results are memoized in a process-wide cache keyed by spec, tool,
     label and a digest of the configuration and source listing (plus
-    [matrices]), shared across domains behind a mutex. *)
+    [matrices]), shared across domains: a key in flight on one domain
+    is waited for, not measured again, by another. *)
 
 val clear_measure_cache : unit -> unit
-(** Drop every memoized measurement (tests and benchmarks).  Only the
-    in-process memo is cleared: entries in an attached persistent store
+(** Drop every memoized measurement (tests and benchmarks): the memo
+    per design key and {!Flow}'s per-netlist measurements.  Only
+    in-process memos are cleared: entries in an attached persistent store
     survive, so a subsequent {!measure} re-reads them from disk. *)
 
 (** {1 Persistent store backend}

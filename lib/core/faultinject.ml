@@ -128,6 +128,12 @@ let matching ~design =
 
 (* ---------------- probes ---------------- *)
 
+let targets ~design =
+  match matching ~design with
+  | Some { fault = Engine_crash | Stall | Poison | Protocol | Crash _; _ } ->
+      true
+  | _ -> false
+
 let crash_at_stage ~design ~stage =
   match matching ~design with
   | Some { fault = Crash st; _ } when st = stage ->

@@ -86,6 +86,11 @@ val load_env : unit -> (spec option, string) result
     Each probe is a no-op unless the armed spec matches both the design
     and the probe's fault kind. *)
 
+val targets : design:string -> bool
+(** Whether the armed spec is a flow fault (not a connection fault) whose
+    target matches this design.  {!Flow} runs such a design's stages on
+    its own instead of sharing another design's measurement. *)
+
 val crash_at_stage : design:string -> stage:string -> unit
 (** Raise {!Injected} when a [Crash stage] spec targets this design. *)
 

@@ -195,6 +195,25 @@ let classify ~stage e =
   | "synthesize" -> Synth_failure msg
   | _ -> Unexpected msg
 
+(* One measurement per (netlist, spec, matrix count), found by physical
+   identity of the netlist and the spec. *)
+type shared_key = { netlist : Hw.Netlist.t; spec : spec; matrices : int }
+
+module Shared = Hw.Once.Table (struct
+  type t = shared_key
+
+  let equal a b =
+    a.netlist == b.netlist && a.spec == b.spec && a.matrices = b.matrices
+
+  let hash k =
+    Hashtbl.hash
+      (k.netlist.Hw.Netlist.circuit_name, Hw.Netlist.num_nodes k.netlist,
+       k.spec.spec_name, k.matrices)
+end)
+
+let shared : Metrics.measured Shared.t = Shared.create 128
+let clear_shared () = Shared.clear shared
+
 let measure_uncached ?(matrices = 4) ~spec (d : Design.t) : Metrics.measured =
   let key = span_key d in
   (* Trace spans carry the kernel-qualified identity so mixed-kernel
@@ -228,77 +247,100 @@ let measure_uncached ?(matrices = 4) ~spec (d : Design.t) : Metrics.measured =
             c)
       in
       stage "validate" (fun () -> Hw.Netlist.validate circuit);
-      let mats = spec.stimulus matrices in
-      let r =
-        stage "simulate" (fun () ->
-            Trace.add_counter "matrices" matrices;
-            let timeout =
-              Faultinject.stall_timeout ~design:key spec.sim_timeout
-            in
-            let run engine =
-              Faultinject.engine_crash ~design:key
-                ~compiled:(engine = Axis.Driver.Compiled);
-              Axis.Driver.run ~engine ?timeout ~hook:Trace.add_counter
-                circuit mats
-            in
-            let r =
-              try run Axis.Driver.Compiled
-              with e when not (is_driver_timeout e) ->
-                (* Retry with degradation: one compiled-engine bug must
-                   not block artifact regeneration, so the design is
-                   re-run once on the reference interpreter.  A timeout
-                   is not an engine failure — it would only time out
-                   again, slower. *)
-                Trace.add_counter "engine_fallback" 1;
-                Printf.eprintf
-                  "hlsvhc: %s: compiled engine failed (%s); retrying on \
-                   the reference interpreter\n\
-                   %!"
-                  key (exn_message e);
-                run Axis.Driver.Reference
-            in
+      (* Everything after validate depends only on the netlist, the
+         spec, the matrix count and the armed fault spec, so designs
+         that elaborate to the physically same netlist share one run
+         (DESIGN.md §19).  A design the armed fault targets runs its own
+         stages, and a waiting design re-owns a shared failure. *)
+      let run () =
+        let mats = spec.stimulus matrices in
+        let r =
+          stage "simulate" (fun () ->
+              Trace.add_counter "matrices" matrices;
+              let timeout =
+                Faultinject.stall_timeout ~design:key spec.sim_timeout
+              in
+              let run engine =
+                Faultinject.engine_crash ~design:key
+                  ~compiled:(engine = Axis.Driver.Compiled);
+                Axis.Driver.run ~engine ?timeout ~hook:Trace.add_counter
+                  circuit mats
+              in
+              let r =
+                try run Axis.Driver.Compiled
+                with e when not (is_driver_timeout e) ->
+                  (* Retry with degradation: one compiled-engine bug must
+                     not block artifact regeneration, so the design is
+                     re-run once on the reference interpreter.  A timeout
+                     is not an engine failure — it would only time out
+                     again, slower. *)
+                  Trace.add_counter "engine_fallback" 1;
+                  Printf.eprintf
+                    "hlsvhc: %s: compiled engine failed (%s); retrying on \
+                     the reference interpreter\n\
+                     %!"
+                    key (exn_message e);
+                  run Axis.Driver.Reference
+              in
+              {
+                r with
+                Axis.Driver.outputs =
+                  Faultinject.poison_blocks ~design:key r.Axis.Driver.outputs;
+              })
+        in
+        stage "verify" (fun () ->
+            bit_true_check d ~got:r.Axis.Driver.outputs
+              ~expected:(List.map spec.reference mats);
+            match
+              Faultinject.inject_violation ~design:key r.Axis.Driver.violations
+            with
+            | [] -> ()
+            | v :: _ ->
+                raise
+                  (Error
+                     {
+                       err_design = key;
+                       err_stage = "verify";
+                       err_class =
+                         Protocol_violation
+                           (Format.asprintf "%a" Axis.Monitor.pp_violation v);
+                     }));
+        let rep =
+          stage "synthesize" (fun () ->
+              Hw.Synth.run ~hook:Trace.add_counter circuit)
+        in
+        stage "metrics" (fun () ->
             {
-              r with
-              Axis.Driver.outputs =
-                Faultinject.poison_blocks ~design:key r.Axis.Driver.outputs;
+              Metrics.fmax_mhz = rep.Hw.Synth.fmax_mhz;
+              throughput_mops =
+                rep.Hw.Synth.fmax_mhz /. float_of_int r.Axis.Driver.periodicity;
+              latency = r.Axis.Driver.latency;
+              periodicity = r.Axis.Driver.periodicity;
+              area = rep.Hw.Synth.area;
+              luts_nodsp = rep.Hw.Synth.luts_nodsp;
+              ffs_nodsp = rep.Hw.Synth.ffs_nodsp;
+              luts = rep.Hw.Synth.luts;
+              ffs = rep.Hw.Synth.ffs;
+              dsps = rep.Hw.Synth.dsps;
+              ios = rep.Hw.Synth.ios;
             })
       in
-      stage "verify" (fun () ->
-          bit_true_check d ~got:r.Axis.Driver.outputs
-            ~expected:(List.map spec.reference mats);
-          match
-            Faultinject.inject_violation ~design:key r.Axis.Driver.violations
-          with
-          | [] -> ()
-          | v :: _ ->
-              raise
-                (Error
-                   {
-                     err_design = key;
-                     err_stage = "verify";
-                     err_class =
-                       Protocol_violation
-                         (Format.asprintf "%a" Axis.Monitor.pp_violation v);
-                   }));
-      let rep =
-        stage "synthesize" (fun () ->
-            Hw.Synth.run ~hook:Trace.add_counter circuit)
-      in
-      stage "metrics" (fun () ->
-          {
-            Metrics.fmax_mhz = rep.Hw.Synth.fmax_mhz;
-            throughput_mops =
-              rep.Hw.Synth.fmax_mhz /. float_of_int r.Axis.Driver.periodicity;
-            latency = r.Axis.Driver.latency;
-            periodicity = r.Axis.Driver.periodicity;
-            area = rep.Hw.Synth.area;
-            luts_nodsp = rep.Hw.Synth.luts_nodsp;
-            ffs_nodsp = rep.Hw.Synth.ffs_nodsp;
-            luts = rep.Hw.Synth.luts;
-            ffs = rep.Hw.Synth.ffs;
-            dsps = rep.Hw.Synth.dsps;
-            ios = rep.Hw.Synth.ios;
-          })
+      if Faultinject.targets ~design:key then run ()
+      else begin
+        let ran = ref false in
+        match
+          Shared.find_or_compute shared
+            { netlist = circuit; spec; matrices }
+            (fun () ->
+              ran := true;
+              run ())
+        with
+        | m ->
+            if not !ran then Trace.add_counter "shared_netlist" 1;
+            m
+        | exception Error e when not !ran ->
+            raise (Error { e with err_design = key })
+      end
   | Design.Pcie p ->
       let system =
         stage "elaborate" (fun () ->

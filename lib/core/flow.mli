@@ -121,7 +121,21 @@ val measure_uncached : ?matrices:int -> spec:spec -> Design.t -> Metrics.measure
     interpreter ({!Axis.Driver.Reference}); the degradation is recorded
     as an [engine_fallback] Trace counter and a one-line stderr note.
 
+    A stream design's [simulate], [verify], [synthesize] and [metrics]
+    stages run once per physically distinct netlist, spec and
+    [matrices]: a design that elaborates to a netlist already measured
+    (or being measured on another domain) reuses that measurement, and
+    adds a [shared_netlist] counter to the innermost open span (the
+    [measure] span under {!Evaluate.measure}).  A design targeted by the
+    armed {!Faultinject} spec always runs its own stages.  A shared run
+    that fails is not cached, and each design waiting on it gets the
+    {!Error} under its own [err_design].
+
     @raise Error if a stage fails: not bit-true against
     [spec.reference], an AXI-Stream protocol violation, a simulation
     timeout, an engine failure surviving the interpreter retry, a
     synthesis failure, or an unexpected exception. *)
+
+val clear_shared : unit -> unit
+(** Drop every shared per-netlist measurement ({!Evaluate.clear_measure_cache}
+    calls this). *)

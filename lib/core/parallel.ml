@@ -148,32 +148,24 @@ let map_result ?jobs f xs =
       (Array.map (function Some r -> r | None -> assert false) results)
   end
 
-(* Content-keyed in-memory result cache, shared across domains behind a
-   mutex.  The mutex guards only table access, never the computation: two
-   domains racing on the same missing key both compute, and the first
-   store wins so every caller observes one canonical value.  The engine's
-   work lists never contain duplicate keys, so in practice each key is
-   computed once. *)
+(* Content-keyed in-memory result cache, shared across domains: a keyed
+   once-table, so a key missed by two domains at once (two serve
+   connections asking for one unstored design, say) is computed by one
+   and waited for by the other.  A failed computation is not cached. *)
 module Memo (V : sig
   type t
 end) =
 struct
-  let lock = Mutex.create ()
-  let table : (string, V.t) Hashtbl.t = Hashtbl.create 64
+  module T = Hw.Once.Table (struct
+    type t = string
 
-  let find_or_compute ~key f =
-    match Mutex.protect lock (fun () -> Hashtbl.find_opt table key) with
-    | Some v -> v
-    | None ->
-        let v = f () in
-        Mutex.protect lock (fun () ->
-            match Hashtbl.find_opt table key with
-            | Some winner -> winner
-            | None ->
-                Hashtbl.replace table key v;
-                v)
+    let equal = String.equal
+    let hash = Hashtbl.hash
+  end)
 
-  let mem key = Mutex.protect lock (fun () -> Hashtbl.mem table key)
-  let size () = Mutex.protect lock (fun () -> Hashtbl.length table)
-  let clear () = Mutex.protect lock (fun () -> Hashtbl.reset table)
+  let table : V.t T.t = T.create 64
+  let find_or_compute ~key f = T.find_or_compute table key f
+  let mem key = T.mem table key
+  let size () = T.length table
+  let clear () = T.clear table
 end

@@ -3,7 +3,7 @@
     Evaluating the paper's artifacts means measuring ~100 independent
     synthesized circuits (Fig. 1) — an embarrassingly parallel workload.
     [map] fans jobs out over a fixed-size pool of domains with
-    deterministic result ordering; {!Memo} is the shared, mutex-protected
+    deterministic result ordering; {!Memo} is the shared, once-per-key
     result cache the evaluation pipeline layers on top.
 
     Jobs must not share mutable builder state across domains: a design's
@@ -49,9 +49,10 @@ module Memo (V : sig
 end) : sig
   val find_or_compute : key:string -> (unit -> V.t) -> V.t
   (** Return the cached value for [key], or run the thunk and cache its
-      result.  The lock is never held during the computation; when two
-      domains race on one missing key, the first store wins and both
-      return the canonical value. *)
+      result ({!Hw.Once.Table}).  The lock guards lookups only: a second
+      caller of a key in flight waits for that key's computation and
+      returns its value, so the thunk runs once per key.  A raising thunk
+      caches nothing; the next caller runs it again. *)
 
   val mem : string -> bool
   val size : unit -> int

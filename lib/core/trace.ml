@@ -542,23 +542,37 @@ let load_json path =
 
 (* ---------------- summary ---------------- *)
 
+(* Self time within one design's tree: a span's duration minus its direct
+   children's.  One design's spans nest on one domain (as [write_json]
+   assumes), so the children never overlap and the self times of a tree
+   sum to its root's duration. *)
+let self_times spans =
+  let rec walk acc t =
+    let kids = List.fold_left (fun a k -> a +. k.node.dur_s) 0.0 t.children in
+    List.fold_left walk ((t.node, t.node.dur_s -. kids) :: acc) t.children
+  in
+  List.concat_map
+    (fun (_, sps) -> List.rev (List.fold_left walk [] (build_trees sps)))
+    (group_by_design spans)
+
 type summary_row = {
   sum_stage : string;
   sum_count : int;
   sum_total_s : float;
+  sum_self_s : float;
   sum_counters : (string * int) list;
 }
 
 let summarize spans =
   let tbl : (string, summary_row) Hashtbl.t = Hashtbl.create 16 in
   List.iter
-    (fun sp ->
+    (fun (sp, self) ->
       let row =
         match Hashtbl.find_opt tbl sp.stage with
         | Some r -> r
         | None ->
             { sum_stage = sp.stage; sum_count = 0; sum_total_s = 0.0;
-              sum_counters = [] }
+              sum_self_s = 0.0; sum_counters = [] }
       in
       let counters =
         List.fold_left
@@ -573,9 +587,10 @@ let summarize spans =
           row with
           sum_count = row.sum_count + 1;
           sum_total_s = row.sum_total_s +. sp.dur_s;
+          sum_self_s = row.sum_self_s +. self;
           sum_counters = counters;
         })
-    spans;
+    (self_times spans);
   Hashtbl.fold (fun _ r acc -> r :: acc) tbl []
   |> List.sort (fun a b -> compare b.sum_total_s a.sum_total_s)
 
@@ -611,11 +626,12 @@ let render_stats path =
       (fun a sp -> if sp.depth = 0 then a +. sp.dur_s else a)
       0.0 spans
   in
-  pr "%-12s %7s %10s %10s %7s\n" "stage" "count" "total s" "mean ms" "share";
+  pr "%-12s %7s %10s %10s %10s %7s\n" "stage" "count" "total s" "self s"
+    "mean ms" "share";
   List.iter
     (fun r ->
-      pr "%-12s %7d %10.3f %10.3f %6.1f%%\n" r.sum_stage r.sum_count
-        r.sum_total_s
+      pr "%-12s %7d %10.3f %10.3f %10.3f %6.1f%%\n" r.sum_stage r.sum_count
+        r.sum_total_s r.sum_self_s
         (r.sum_total_s *. 1e3 /. float_of_int (max 1 r.sum_count))
         (100. *. r.sum_total_s /. Float.max 1e-9 total))
     rows;

@@ -79,10 +79,17 @@ val write_json : string -> span list -> unit
     grouped by [design] and nested by depth, with per-span wall times
     and counters. *)
 
+val self_times : span list -> (span * float) list
+(** Each span with its self time: its duration minus its direct
+    children's, children taken within the same design's tree (spans
+    nested by depth, as {!write_json} groups them).  The self times of
+    one design's tree sum to its root's duration. *)
+
 type summary_row = {
   sum_stage : string;
   sum_count : int;
   sum_total_s : float;
+  sum_self_s : float;  (** total of {!self_times} *)
   sum_counters : (string * int) list;
 }
 
@@ -97,5 +104,5 @@ val load_json : string -> span list
     @raise Sys_error when the file cannot be read *)
 
 val render_stats : string -> string
-(** The [hlsvhc stats] report: per-stage counts, wall-time breakdown and
-    aggregated counters of a trace file. *)
+(** The [hlsvhc stats] report: per-stage counts, inclusive and self wall
+    time, and aggregated counters of a trace file. *)

@@ -34,3 +34,55 @@ let force l =
       Fun.protect
         ~finally:(fun () -> Mutex.unlock e.lock)
         (fun () -> Lazy.force l))
+
+module Table (K : Hashtbl.HashedType) = struct
+  module H = Hashtbl.Make (K)
+
+  (* A key is [Running] while its first computation is in flight, then
+     [Done].  A raising computation removes its cell, so the failure
+     reaches the callers already waiting on it and nobody after them. *)
+  type 'v cell = Running of 'v Lazy.t | Done of 'v
+  type 'v t = { lock : Mutex.t; cells : 'v cell H.t }
+
+  let create n = { lock = Mutex.create (); cells = H.create n }
+
+  let find_or_compute t key f =
+    let cell =
+      Mutex.protect t.lock (fun () ->
+          match H.find_opt t.cells key with
+          | Some c -> c
+          | None ->
+              let c = Running (lazy (f ())) in
+              H.replace t.cells key c;
+              c)
+    in
+    match cell with
+    | Done v -> v
+    | Running l -> (
+        (* Every forcer settles the cell; only the first finds it still
+           holding [l] (a [clear] or a retry may have replaced it). *)
+        let settle outcome =
+          Mutex.protect t.lock (fun () ->
+              match H.find_opt t.cells key with
+              | Some (Running l') when l' == l -> (
+                  match outcome with
+                  | Some v -> H.replace t.cells key (Done v)
+                  | None -> H.remove t.cells key)
+              | _ -> ())
+        in
+        match force l with
+        | v ->
+            settle (Some v);
+            v
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            settle None;
+            Printexc.raise_with_backtrace e bt)
+
+  let mem t key =
+    Mutex.protect t.lock (fun () ->
+        match H.find_opt t.cells key with Some (Done _) -> true | _ -> false)
+
+  let length t = Mutex.protect t.lock (fun () -> H.length t.cells)
+  let clear t = Mutex.protect t.lock (fun () -> H.reset t.cells)
+end

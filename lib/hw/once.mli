@@ -19,3 +19,32 @@ val force : 'a Lazy.t -> 'a
     lazy gets that same exception).
 
     @raise Lazy.Undefined if [l]'s own body forces [l]. *)
+
+(** Keyed once-cells: a memo table whose computation runs once per key
+    even when several domains miss on that key at the same time.
+
+    The table lock guards lookups only.  The computation runs outside it,
+    inside a lazy forced with {!force}, so a second caller of a key in
+    flight waits for that key alone and then reads its value.  A
+    computation that raises is not cached: the callers already waiting
+    on it get its exception, and the next caller computes again. *)
+module Table (K : Hashtbl.HashedType) : sig
+  type 'v t
+
+  val create : int -> 'v t
+
+  val find_or_compute : 'v t -> K.t -> (unit -> 'v) -> 'v
+  (** The value stored for the key, or the result of [f ()], which is
+      stored.  [f] runs at most once per key at a time. *)
+
+  val mem : 'v t -> K.t -> bool
+  (** Whether a computed value is stored for the key (a computation in
+      flight does not count). *)
+
+  val length : 'v t -> int
+  (** Keys stored or in flight. *)
+
+  val clear : 'v t -> unit
+  (** Drop every key.  A computation in flight finishes for its waiting
+      callers but is not stored. *)
+end

@@ -281,6 +281,71 @@ let test_fig1_netlists_pinned () =
       | Core.Design.Pcie _ -> Alcotest.fail "BSC points are streams")
     sweep bsc_fig1_digests
 
+(* The 26 lazies forced from 4 domains: one compile per distinct
+   schedule, so two points share a netlist exactly when their pinned
+   digests agree (9 distinct netlists). *)
+let test_fig1_netlists_shared () =
+  let sweep = Core.Registry.sweep Core.Design.Bsv in
+  let netlists =
+    Core.Parallel.map ~jobs:4
+      (fun (d : Core.Design.t) ->
+        match d.Core.Design.impl with
+        | Core.Design.Stream c -> Core.Design.force c
+        | Core.Design.Pcie _ -> Alcotest.fail "BSC points are streams")
+      sweep
+  in
+  let distinct =
+    List.fold_left
+      (fun acc n -> if List.exists (( == ) n) acc then acc else n :: acc)
+      [] netlists
+  in
+  check int "9 distinct netlists" 9 (List.length distinct);
+  let pinned = List.combine netlists (List.map snd bsc_fig1_digests) in
+  List.iteri
+    (fun i (a, da) ->
+      List.iteri
+        (fun j (b, db) ->
+          if i < j then
+            check bool
+              (Printf.sprintf "points %d and %d share iff digests agree" i j)
+              (da = db) (a == b))
+        pinned)
+    pinned
+
+(* Two rules on disjoint guards, one reading what the other writes: at
+   effort 0 the reader must precede the writer, at effort 2 the pair is
+   discharged.  The conflict matrices agree, so both compile to one
+   netlist, yet each caller gets its own schedule back. *)
+let test_shared_compile_own_schedule () =
+  let bld = builder "own" in
+  let phase = mk_reg bld "phase" 2 in
+  let x = mk_reg bld "x" 8 and y = mk_reg bld "y" 8 in
+  mk_rule bld "reader" ~guard:(Read phase ==: cst 2 0) [ assign y (Read x) ];
+  mk_rule bld "writer" ~guard:(Read phase ==: cst 2 1) [ assign x (cst 8 5) ];
+  mk_output bld "y" (Read y);
+  let small = mk_module bld in
+  let effort e = { Bsv.Options.default with Bsv.Options.effort = e } in
+  let same_sched (a : Bsv.Sched.t) (b : Bsv.Sched.t) =
+    Array.length a.Bsv.Sched.rules = Array.length b.Bsv.Sched.rules
+    && Array.for_all2 ( == ) a.Bsv.Sched.rules b.Bsv.Sched.rules
+    && a.Bsv.Sched.conflict = b.Bsv.Sched.conflict
+    && a.Bsv.Sched.precede = b.Bsv.Sched.precede
+  in
+  List.iter
+    (fun (name, m) ->
+      let n0, s0 = Bsv.Compile.compile_with_schedule ~options:(effort 0) m in
+      let n2, s2 = Bsv.Compile.compile_with_schedule ~options:(effort 2) m in
+      check bool (name ^ ": one netlist") true (n0 == n2);
+      check bool (name ^ ": effort 0 schedule is its own") true
+        (same_sched s0 (Bsv.Sched.analyze ~options:(effort 0) m));
+      check bool (name ^ ": effort 2 schedule is its own") true
+        (same_sched s2 (Bsv.Sched.analyze ~options:(effort 2) m)))
+    [ ("two rules", small); ("idct optimized", Bsv.Idct_bsv.optimized_design) ];
+  let _, s0 = Bsv.Compile.compile_with_schedule ~options:(effort 0) small in
+  let _, s2 = Bsv.Compile.compile_with_schedule ~options:(effort 2) small in
+  check bool "effort 0: reader precedes writer" true s0.Bsv.Sched.precede.(0).(1);
+  check bool "effort 2: pair discharged" false s2.Bsv.Sched.precede.(0).(1)
+
 (* A value whose levels each reuse the level below twice: 2^30 tree paths
    over ~90 distinct nodes.  Only a walker that visits each shared node
    once can compile it or compute its read set. *)
@@ -351,6 +416,9 @@ let () =
       ( "dag",
         [
           Alcotest.test_case "fig1 netlists pinned" `Quick test_fig1_netlists_pinned;
+          Alcotest.test_case "fig1 netlists shared" `Quick test_fig1_netlists_shared;
+          Alcotest.test_case "shared compile, own schedule" `Quick
+            test_shared_compile_own_schedule;
           Alcotest.test_case "deep shared DAG" `Quick test_deep_shared_dag;
         ] );
     ]

@@ -273,6 +273,50 @@ let test_keep_going_fig1_elaborate () =
     faulted clean;
   fresh ()
 
+(* A fault aimed at one BSC point whose netlist two siblings share: the
+   targeted point runs its own stages and fails alone; the siblings share
+   a fault-free measurement and pass. *)
+let test_fault_on_shared_netlist () =
+  let victim =
+    "BSC/optimized/urgency=declared mux=priority aggressive=false effort=1"
+  in
+  let sibling e =
+    Printf.sprintf
+      "optimized/urgency=declared mux=priority aggressive=false effort=%d" e
+  in
+  let fresh () =
+    Core.Fig1.clear_cache ();
+    Core.Evaluate.clear_measure_cache ()
+  in
+  fresh ();
+  (match Core.Faultinject.parse ("crash@synthesize:" ^ victim) with
+  | Ok spec -> Core.Faultinject.arm spec
+  | Error e -> Alcotest.fail e);
+  let series, errors =
+    Fun.protect ~finally:Core.Faultinject.disarm (fun () ->
+        Core.Fig1.compute_result ~jobs:2 ())
+  in
+  check (Alcotest.list string) "exactly the targeted point fails" [ victim ]
+    (List.map (fun e -> e.Core.Flow.err_design) errors);
+  check string "in synthesize" "synthesize" (List.hd errors).Core.Flow.err_stage;
+  let bsc =
+    List.find (fun (s : Core.Fig1.series) -> s.Core.Fig1.tool = Core.Design.Bsv)
+      series
+  in
+  let point e =
+    List.find_opt
+      (fun (p : Core.Fig1.point) -> p.Core.Fig1.label = sibling e)
+      bsc.Core.Fig1.points
+  in
+  check int "25 BSC points survive" 25 (List.length bsc.Core.Fig1.points);
+  (match (point 0, point 2) with
+  | Some p0, Some p2 ->
+      check bool "siblings measure alike" true
+        ({ p0 with Core.Fig1.label = "" } = { p2 with Core.Fig1.label = "" })
+  | _ -> Alcotest.fail "the effort=0 and effort=2 siblings must pass");
+  check bool "the victim has no point" true (point 1 = None);
+  fresh ()
+
 (* ---------------- fault-spec parsing ---------------- *)
 
 let test_parse_specs () =
@@ -386,6 +430,8 @@ let () =
             test_keep_going_all_run;
           Alcotest.test_case "fig1 elaborate crash, 2 jobs" `Slow
             test_keep_going_fig1_elaborate;
+          Alcotest.test_case "fault on a shared netlist, 2 jobs" `Slow
+            test_fault_on_shared_netlist;
         ] );
       ( "spec",
         [ Alcotest.test_case "parse and round-trip" `Quick test_parse_specs ] );

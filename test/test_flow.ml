@@ -198,6 +198,93 @@ let test_second_kernel_through_flow () =
   check bool "FIR measurement is sane" true
     (m.Core.Metrics.area > 0 && m.Core.Metrics.fmax_mhz > 0.)
 
+(* BSC's 26 points elaborate to 9 distinct netlists: every point runs
+   elaborate and validate, each netlist is simulated, verified and
+   synthesized once, and the 17 reusing points say so on their measure
+   span. *)
+let test_bsc_shared_measurements () =
+  cold ();
+  let plain = Core.Fig1.render ~jobs:1 ~tools:[ Core.Design.Bsv ] () in
+  cold ();
+  let shared, spans =
+    traced (fun () -> Core.Fig1.render ~jobs:2 ~tools:[ Core.Design.Bsv ] ())
+  in
+  check Alcotest.string "BSC scatter identical" plain shared;
+  let count name =
+    List.length (List.filter (fun s -> s.Core.Trace.stage = name) spans)
+  in
+  List.iter
+    (fun (name, n) -> check int (name ^ " spans") n (count name))
+    [ ("elaborate", 26); ("validate", 26); ("simulate", 9); ("verify", 9);
+      ("synthesize", 9); ("metrics", 9) ];
+  check int "17 shared measurements" 17
+    (List.fold_left
+       (fun acc s ->
+         if s.Core.Trace.stage = "measure" then
+           acc
+           + Option.value ~default:0
+               (List.assoc_opt "shared_netlist" s.Core.Trace.counters)
+         else acc)
+       0 spans)
+
+(* A wrong reference fails every point, each under its own key, whether
+   its design ran the shared stages or waited on another's run. *)
+let test_shared_failure_keys () =
+  cold ();
+  let wrong =
+    {
+      Core.Flow.idct_spec with
+      Core.Flow.spec_name = "idct-wrong-reference";
+      reference =
+        (fun b ->
+          let r = Axis.Block.copy (Core.Flow.idct_spec.Core.Flow.reference b) in
+          Axis.Block.set r ~row:0 ~col:0 (Axis.Block.get r ~row:0 ~col:0 + 1);
+          r);
+    }
+  in
+  let sweep = Core.Registry.sweep Core.Design.Bsv in
+  let outcomes =
+    Core.Evaluate.measure_all_result ~jobs:2 ~matrices:3 ~spec:wrong sweep
+  in
+  let keys =
+    List.map
+      (function
+        | Ok _ -> Alcotest.fail "a wrong reference must fail every point"
+        | Error e ->
+            check Alcotest.string "not bit-true" "not-bit-true"
+              (Core.Flow.class_name e.Core.Flow.err_class);
+            e.Core.Flow.err_design)
+      outcomes
+  in
+  check (Alcotest.list Alcotest.string) "26 failures under their own keys"
+    (List.map Core.Flow.span_key sweep) keys;
+  check int "26 distinct keys" 26 (List.length (List.sort_uniq compare keys));
+  cold ()
+
+(* Self time: for one design, the self times of its measure tree add up
+   to the measure span's duration. *)
+let test_self_times () =
+  cold ();
+  let d = Core.Registry.initial Core.Design.Verilog in
+  let _, spans =
+    traced (fun () ->
+        Core.Evaluate.measure ~spec:Core.Flow.idct_spec ~matrices:2 d)
+  in
+  let design = Core.Flow.span_design Core.Flow.idct_spec d in
+  let mine =
+    List.filter (fun (s, _) -> s.Core.Trace.design = design)
+      (Core.Trace.self_times spans)
+  in
+  let measure =
+    List.find (fun s -> s.Core.Trace.stage = "measure") spans
+  in
+  check int "measure plus its six stages" 7 (List.length mine);
+  check bool "no negative self time" true
+    (List.for_all (fun (_, t) -> t >= 0.0) mine);
+  check (Alcotest.float 1e-9) "self times sum to the measure span"
+    measure.Core.Trace.dur_s
+    (List.fold_left (fun a (_, t) -> a +. t) 0.0 mine)
+
 let () =
   Alcotest.run "flow"
     [
@@ -219,5 +306,11 @@ let () =
             test_disabled_is_silent;
           Alcotest.test_case "second kernel through the pipeline" `Quick
             test_second_kernel_through_flow;
+          Alcotest.test_case "BSC points share measurements" `Quick
+            test_bsc_shared_measurements;
+          Alcotest.test_case "shared failure keeps each design's key" `Quick
+            test_shared_failure_keys;
+          Alcotest.test_case "self times sum to the root" `Quick
+            test_self_times;
         ] );
     ]

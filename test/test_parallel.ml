@@ -238,6 +238,32 @@ let test_memo_race_first_store_wins () =
     (Memo_ref.find_or_compute ~key:"race" (fun () -> ref 99) == ra);
   Memo_ref.clear ()
 
+(* Four domains miss on one key together: the computation runs once and
+   every caller gets its value.  A raising computation is not cached. *)
+let test_memo_once_per_key () =
+  Memo_ref.clear ();
+  let runs = Atomic.make 0 in
+  let results =
+    race 4 (fun _ ->
+        Memo_ref.find_or_compute ~key:"once" (fun () ->
+            Atomic.incr runs;
+            (* stay in flight long enough for every caller to miss *)
+            Unix.sleepf 0.05;
+            ref 7))
+  in
+  check int "f ran once" 1 (Atomic.get runs);
+  check bool "every caller got the one value" true
+    (List.for_all (fun r -> r == List.hd results) results);
+  (match
+     Memo_ref.find_or_compute ~key:"fails" (fun () -> failwith "boom")
+   with
+  | _ -> Alcotest.fail "the raising thunk must raise"
+  | exception Failure _ -> ());
+  check bool "a failure is not cached" false (Memo_ref.mem "fails");
+  check int "a later call computes again" 3
+    !(Memo_ref.find_or_compute ~key:"fails" (fun () -> ref 3));
+  Memo_ref.clear ()
+
 (* ---------------- fig1 determinism ---------------- *)
 
 let tools = [ Core.Design.Verilog; Core.Design.Chisel; Core.Design.Dslx ]
@@ -351,6 +377,8 @@ let () =
         [
           Alcotest.test_case "first store wins" `Quick
             test_memo_race_first_store_wins;
+          Alcotest.test_case "once per key, failures not cached" `Quick
+            test_memo_once_per_key;
         ] );
       ( "fig1",
         [
