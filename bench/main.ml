@@ -17,11 +17,11 @@ let table1 () =
 
 let table2 () =
   section "Table II — HLS/HC tools evaluation results";
-  print_string (Core.Table2.render ())
+  print_string (Core.Table2.render (fst (Core.Table2.compute ())))
 
 let fig1 () =
   section "Fig. 1 — design space exploration for IDCT (100 circuits)";
-  print_string (Core.Fig1.render ())
+  print_string (Core.Fig1.render (fst (Core.Fig1.compute ())))
 
 (* Section IV narratives, reproduced as measured ratios. *)
 
@@ -85,7 +85,7 @@ let ablation_chls () =
   Printf.printf
     "Vivado HLS +INLINE+PARTITION+PIPELINE: periodicity %d, latency %d (paper 8, 26)\n"
     vo.Core.Metrics.periodicity vo.Core.Metrics.latency;
-  let rows = Core.Table2.compute () in
+  let rows, _ = Core.Table2.compute () in
   let find t = List.find (fun (r : Core.Table2.row) -> r.tool = t) rows in
   Printf.printf
     "Vivado HLS quality vs optimized Verilog: %.1f%% (paper 89.7%%)\n"
@@ -430,7 +430,7 @@ let timed_fig1 jobs =
   Core.Fig1.clear_cache ();
   Core.Evaluate.clear_measure_cache ();
   let t0 = Unix.gettimeofday () in
-  let series = Core.Fig1.compute ~jobs () in
+  let series, _ = Core.Fig1.compute ~jobs () in
   let dt = Unix.gettimeofday () -. t0 in
   (dt, series)
 

@@ -2,30 +2,32 @@
 
 open Cmdliner
 
+(* Print one diagnostic line on stderr and exit with [code] (default 2,
+   a usage error). *)
+let die ?(code = 2) fmt =
+  Printf.ksprintf (fun msg -> prerr_endline msg; exit code) fmt
+
+(* A converter from a parser that reports its own error text. *)
+let conv parse name =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun e -> `Msg e) (parse s)),
+      fun ppf v -> Format.pp_print_string ppf (name v) )
+
+(* The accepted names live on the TOOL modules, next to everything else
+   each flow registers; [Registry.parse_tools] is the one shared parser and
+   its errors list the valid names. *)
 let tool_conv =
-  (* The accepted names live on the TOOL modules, next to everything else
-     each flow registers; [Registry.parse_tools] is the one shared parser
-     and its errors list the valid names. *)
-  let parse s =
-    match Core.Registry.parse_tools s with
-    | Ok [ t ] -> Ok t
-    | Ok _ -> Error (`Msg (Printf.sprintf "expected a single tool, got %S" s))
-    | Error e -> Error (`Msg e)
-  in
-  let print ppf t = Format.pp_print_string ppf (Core.Design.tool_name t) in
-  Arg.conv (parse, print)
+  conv
+    (fun s ->
+      match Core.Registry.parse_tools s with
+      | Ok [ t ] -> Ok t
+      | Ok _ -> Error (Printf.sprintf "expected a single tool, got %S" s)
+      | Error e -> Error e)
+    Core.Design.tool_name
 
 let tools_conv =
-  let parse s =
-    match Core.Registry.parse_tools s with
-    | Ok ts -> Ok ts
-    | Error e -> Error (`Msg e)
-  in
-  let print ppf ts =
-    Format.pp_print_string ppf
-      (String.concat "," (List.map Core.Design.tool_name ts))
-  in
-  Arg.conv (parse, print)
+  conv Core.Registry.parse_tools (fun ts ->
+      String.concat "," (List.map Core.Design.tool_name ts))
 
 let tools_opt =
   Arg.(
@@ -44,13 +46,11 @@ let tool_pos =
    modules, [Core.Kernel.parse_kernel] is the one shared parser and the
    error lists the registered kernels. *)
 let kernel_conv =
-  let parse s =
-    match Core.Kernel.parse_kernel s with
-    | Some k -> Ok k
-    | None -> Error (`Msg (Core.Kernel.unknown_kernel_msg s))
-  in
-  let print ppf k = Format.pp_print_string ppf (Core.Kernel.name k) in
-  Arg.conv (parse, print)
+  conv
+    (fun s ->
+      Option.to_result ~none:(Core.Kernel.unknown_kernel_msg s)
+        (Core.Kernel.parse_kernel s))
+    Core.Kernel.name
 
 let kernel_opt =
   Arg.(
@@ -68,16 +68,21 @@ let kernel_opt =
 let kernel_inventory kernel tool =
   match Core.Kernel.inventory_exn kernel tool with
   | inv -> inv
-  | exception Invalid_argument msg ->
-      Printf.eprintf "hlsvhc: %s\n" msg;
-      exit 2
+  | exception Invalid_argument msg -> die "hlsvhc: %s" msg
 
-(* A tool restriction must stay inside the kernel's inventory. *)
-let check_kernel_tools kernel tools =
-  Option.iter (List.iter (fun t -> ignore (kernel_inventory kernel t))) tools
-
-let opt_flag =
-  Arg.(value & flag & info [ "opt"; "optimized" ] ~doc:"Use the optimized design.")
+(* [--kernel TOOL --opt]: one design of one kernel, with its kernel. *)
+let design_term =
+  let pick kernel tool optimized =
+    let inv = kernel_inventory kernel tool in
+    ( kernel,
+      if optimized then inv.Core.Kernel.inv_optimized
+      else inv.Core.Kernel.inv_initial )
+  in
+  Term.(
+    const pick $ kernel_opt $ tool_pos
+    $ Arg.(
+        value & flag
+        & info [ "opt"; "optimized" ] ~doc:"Use the optimized design."))
 
 let jobs_opt =
   Arg.(
@@ -120,9 +125,7 @@ let attach_store = function
   | Some dir -> (
       match Store.attach dir with
       | Ok t -> Some t
-      | Error e ->
-          Printf.eprintf "hlsvhc: --store %s: %s\n" dir e;
-          exit 2)
+      | Error e -> die "hlsvhc: --store %s: %s" dir e)
 
 let keep_going_flag =
   Arg.(
@@ -132,7 +135,8 @@ let keep_going_flag =
           "Do not abort the sweep on a failing design point: record its \
            typed error, keep measuring every other point, print a failure \
            summary on stderr and exit nonzero.  Without this flag the \
-           first failure aborts the run (fail-fast).")
+           first failure aborts the run (fail-fast), with the same one-row \
+           summary and exit status.")
 
 let fault_opt =
   Arg.(
@@ -140,15 +144,17 @@ let fault_opt =
     & opt (some string) None
     & info [ "fault" ] ~docv:"SPEC"
         ~doc:
-          "Inject a deterministic fault into the flow (for testing the \
-           resilience layer): $(docv) is FAULT:TARGET[:SEED] with FAULT one \
-           of $(b,engine-crash), $(b,stall), $(b,poison), $(b,protocol), \
-           $(b,crash@STAGE), or — for the serve daemon's connection paths — \
-           $(b,slow-client), $(b,conn-drop) or $(b,shed) (SEED bounds how \
-           many connections fire, 0 = all), and TARGET a Tool/label \
-           substring ($(b,*) for every design; unused by the connection \
-           faults).  The $(b,HLSVHC_FAULT) environment variable is \
-           equivalent.")
+          (Printf.sprintf
+             "Inject a deterministic fault into the flow (for testing the \
+              resilience layer): $(docv) is FAULT:TARGET[:SEED] with FAULT \
+              one of $(b,engine-crash), $(b,stall), $(b,poison), \
+              $(b,protocol), $(b,crash@STAGE) (STAGE one of %s), or — for \
+              the serve daemon's connection paths — $(b,slow-client), \
+              $(b,conn-drop) or $(b,shed) (SEED bounds how many connections \
+              fire, 0 = all), and TARGET a Tool/label substring ($(b,*) for \
+              every design; unused by the connection faults).  The \
+              $(b,HLSVHC_FAULT) environment variable is equivalent."
+             (String.concat ", " Core.Faultinject.crash_stages)))
 
 (* Arm the fault-injection harness from --fault, else from HLSVHC_FAULT;
    a malformed spec is a usage error, not a measurement result. *)
@@ -156,24 +162,11 @@ let arm_fault = function
   | Some s -> (
       match Core.Faultinject.parse s with
       | Ok spec -> Core.Faultinject.arm spec
-      | Error e ->
-          Printf.eprintf "hlsvhc: --fault %S: %s\n" s e;
-          exit 2)
+      | Error e -> die "hlsvhc: --fault %S: %s" s e)
   | None -> (
       match Core.Faultinject.load_env () with
       | Ok _ -> ()
-      | Error e ->
-          Printf.eprintf "hlsvhc: %s\n" e;
-          exit 2)
-
-(* The keep-going epilogue: the artifact went to stdout already; the
-   failure summary goes to stderr and the process exits nonzero so sweep
-   scripts cannot mistake a partial artifact for a complete one. *)
-let finish_failures = function
-  | [] -> ()
-  | failures ->
-      prerr_string (Core.Flow.render_failure_summary failures);
-      exit 1
+      | Error e -> die "hlsvhc: %s" e)
 
 (* Run [f] with tracing enabled when [trace] names a file; the spans are
    drained and written after [f] finishes, even if it raises. *)
@@ -190,10 +183,58 @@ let with_trace trace f =
           Printf.eprintf "trace: %d spans -> %s\n%!" (List.length spans) file)
         f
 
-let pick_design kernel tool optimized =
-  let inv = kernel_inventory kernel tool in
-  if optimized then inv.Core.Kernel.inv_optimized
-  else inv.Core.Kernel.inv_initial
+(* The flags every measuring subcommand shares. *)
+type batch = {
+  kernel : (module Core.Kernel.KERNEL);
+  jobs : int option;
+  trace : string option;
+  fault : string option;
+  keep_going : bool;
+  tools : Core.Design.tool list option;
+  store : string option;
+}
+
+(* One term for [--kernel/-j/--trace/--fault/-k]; [--tools] and [--store]
+   are composed in only for the commands that take them. *)
+let batch_term ?(tools = false) ?(store = false) () =
+  let make kernel jobs trace fault keep_going tools store =
+    { kernel; jobs; trace; fault; keep_going; tools; store }
+  in
+  Term.(
+    const make $ kernel_opt $ jobs_opt $ trace_opt $ fault_opt
+    $ keep_going_flag
+    $ (if tools then tools_opt else const None)
+    $ (if store then store_opt else const None))
+
+(* The one path of every measuring subcommand.  The prologue arms the
+   fault, attaches the store and checks that the tool restriction stays
+   inside the kernel's inventory; [body]
+   then runs traced, prints its artifact and returns the failures it
+   kept going past.  A fail-fast [Flow.Error] ends the same way: the
+   failure summary goes to stderr and the process exits 1, so sweep
+   scripts cannot mistake a partial artifact for a complete one. *)
+let run_batch b body =
+  arm_fault b.fault;
+  ignore (attach_store b.store);
+  Option.iter
+    (List.iter (fun t -> ignore (kernel_inventory b.kernel t)))
+    b.tools;
+  match
+    try with_trace b.trace (fun () -> body b) with Core.Flow.Error e -> [ e ]
+  with
+  | [] -> ()
+  | failures ->
+      prerr_string (Core.Flow.render_failure_summary failures);
+      exit 1
+
+(* A count of zero would check nothing and still print a verdict. *)
+let pos_int =
+  conv
+    (fun s ->
+      match int_of_string_opt s with
+      | Some n when n > 0 -> Ok n
+      | _ -> Error (Printf.sprintf "expected a positive integer, got %S" s))
+    string_of_int
 
 let table1_cmd =
   let run () = print_string (Core.Table1.render ()) in
@@ -201,41 +242,29 @@ let table1_cmd =
     Term.(const run $ const ())
 
 let table2_cmd =
-  let run kernel tools jobs trace keep_going fault store =
-    arm_fault fault;
-    ignore (attach_store store);
-    check_kernel_tools kernel tools;
-    let failures =
-      with_trace trace (fun () ->
-          if keep_going then (
-            let out, failures =
-              Core.Table2.render_result ?jobs ?tools ~kernel ()
-            in
-            print_string out;
-            failures)
-          else (
-            print_string (Core.Table2.render ?jobs ?tools ~kernel ());
-            []))
-    in
-    finish_failures failures
+  let run b =
+    run_batch b (fun { kernel; jobs; keep_going; tools; _ } ->
+        let rows, failures =
+          Core.Table2.compute ?jobs ~keep_going ?tools ~kernel ()
+        in
+        print_string (Core.Table2.render rows);
+        failures)
   in
   Cmd.v
     (Cmd.info "table2"
        ~doc:"Measure every initial/optimized design and print Table II.")
-    Term.(
-      const run $ kernel_opt $ tools_opt $ jobs_opt $ trace_opt
-      $ keep_going_flag $ fault_opt $ store_opt)
+    Term.(const run $ batch_term ~tools:true ~store:true ())
 
 (* --tool (repeatable) and --tools (comma list) merge, first mention
    first, duplicates dropped. *)
 let merge_tools repeated list_opt =
-  let merged = repeated @ Option.value list_opt ~default:[] in
-  let merged =
+  match
     List.fold_left
       (fun acc t -> if List.mem t acc then acc else acc @ [ t ])
-      [] merged
-  in
-  match merged with [] -> None | ts -> Some ts
+      [] (repeated @ Option.value list_opt ~default:[])
+  with
+  | [] -> None
+  | ts -> Some ts
 
 let fig1_cmd =
   let tool_rep =
@@ -252,101 +281,74 @@ let fig1_cmd =
              JSON to $(docv), atomically — the machine-readable twin of the \
              ASCII scatter, consumed by DSE overlays and external plotting.")
   in
-  let run kernel tool_rep tools jobs trace keep_going json fault store =
-    arm_fault fault;
-    ignore (attach_store store);
-    let tools = merge_tools tool_rep tools in
-    check_kernel_tools kernel tools;
-    let failures =
-      with_trace trace (fun () ->
-          let series, failures =
-            if keep_going then Core.Fig1.compute_result ?jobs ?tools ~kernel ()
-            else (Core.Fig1.compute ?jobs ?tools ~kernel (), [])
-          in
-          print_string (Core.Fig1.render_series ~kernel series);
-          Option.iter
-            (fun path ->
-              Core.Fig1.write_json ~kernel path series;
-              Printf.eprintf "fig1: wrote %s\n%!" path)
-            json;
-          failures)
-    in
-    finish_failures failures
+  let run b tool_rep json =
+    run_batch { b with tools = merge_tools tool_rep b.tools }
+      (fun { kernel; jobs; keep_going; tools; _ } ->
+        let series, failures =
+          Core.Fig1.compute ?jobs ~keep_going ?tools ~kernel ()
+        in
+        print_string (Core.Fig1.render ~kernel series);
+        Option.iter
+          (fun path ->
+            Core.Fig1.write_json ~kernel path series;
+            Printf.eprintf "fig1: wrote %s\n%!" path)
+          json;
+        failures)
   in
   Cmd.v
     (Cmd.info "fig1" ~doc:"Run the DSE sweeps and print the Fig. 1 scatter.")
     Term.(
-      const run $ kernel_opt $ tool_rep $ tools_opt $ jobs_opt $ trace_opt
-      $ keep_going_flag $ json $ fault_opt $ store_opt)
+      const run $ batch_term ~tools:true ~store:true () $ tool_rep $ json)
 
 let comply_cmd =
   let blocks =
-    Arg.(value & opt int 500 & info [ "blocks" ] ~doc:"Blocks per condition (500 is about the statistical minimum).")
+    Arg.(value & opt pos_int 500 & info [ "blocks" ] ~doc:"Blocks per condition (500 is about the statistical minimum).")
   in
-  let run kernel blocks jobs trace keep_going fault =
-    arm_fault fault;
-    let failures =
-      with_trace trace (fun () ->
-          let spec = Core.Kernel.spec kernel in
-          let designs =
-            List.map (Core.Kernel.optimized kernel) (Core.Kernel.tools kernel)
-          in
-          (* The pass text names the procedure the kernel's spec runs:
-             the IEEE 1180-1990 statistical test for the IDCT, bit-true
-             against the golden reference for the extension kernels. *)
-          let pass_text =
-            if Core.Kernel.name kernel = "idct" then "IEEE 1180-1990 PASS"
-            else "bit-true PASS"
-          in
-          let verdict_line (d : Core.Design.t) verdict =
+  let run b blocks =
+    run_batch b (fun { kernel; jobs; keep_going; _ } ->
+        let spec = Core.Kernel.spec kernel in
+        let designs =
+          List.map (Core.Kernel.optimized kernel) (Core.Kernel.tools kernel)
+        in
+        (* The pass text names the procedure the kernel's spec runs: the
+           IEEE 1180-1990 statistical test for the IDCT, bit-true against
+           the golden reference for the extension kernels. *)
+        let pass_text =
+          if Core.Kernel.name kernel = "idct" then "IEEE 1180-1990 PASS"
+          else "bit-true PASS"
+        in
+        let outcomes =
+          Core.Evaluate.compliance_all ?jobs ~keep_going ~blocks ~spec designs
+        in
+        List.iter2
+          (fun (d : Core.Design.t) r ->
             Printf.printf "%-12s optimized: %s\n%!"
               (Core.Design.tool_name d.Core.Design.tool)
-              verdict
-          in
-          if keep_going then (
-            let outcomes =
-              Core.Evaluate.compliance_all_result ?jobs ~blocks ~spec designs
-            in
-            List.iter
-              (fun (d, r) ->
-                match r with
-                | Ok ok -> verdict_line d (if ok then pass_text else "FAIL")
-                | Error _ -> verdict_line d "ERROR")
-              outcomes;
-            List.filter_map
-              (fun (_, r) ->
-                match r with Error e -> Some e | Ok _ -> None)
-              outcomes)
-          else (
-            List.iter
-              (fun (d, ok) -> verdict_line d (if ok then pass_text else "FAIL"))
-              (Core.Evaluate.compliance_all ?jobs ~blocks ~spec designs);
-            []))
-    in
-    finish_failures failures
+              (match r with
+              | Ok true -> pass_text
+              | Ok false -> "FAIL"
+              | Error _ -> "ERROR"))
+          designs outcomes;
+        Core.Evaluate.failures outcomes)
   in
   Cmd.v
     (Cmd.info "comply"
        ~doc:
          "Accuracy test of every optimized design (IEEE 1180-1990 for the \
           IDCT, bit-true for extension kernels).")
-    Term.(
-      const run $ kernel_opt $ blocks $ jobs_opt $ trace_opt $ keep_going_flag
-      $ fault_opt)
+    Term.(const run $ batch_term () $ blocks)
 
 let emit_cmd =
-  let run kernel tool optimized =
-    let d = pick_design kernel tool optimized in
+  let run (_, (d : Core.Design.t)) =
     print_string d.Core.Design.listing;
     print_newline ()
   in
   Cmd.v
     (Cmd.info "emit" ~doc:"Print a design's source listing.")
-    Term.(const run $ kernel_opt $ tool_pos $ opt_flag)
+    Term.(const run $ design_term)
 
 let verilog_cmd =
-  let run kernel tool optimized =
-    let d = pick_design kernel tool optimized in
+  let run (_, (d : Core.Design.t)) =
     match d.Core.Design.impl with
     | Core.Design.Stream c -> print_string (Hw.Verilog.emit (Core.Design.force c))
     | Core.Design.Pcie p ->
@@ -357,30 +359,28 @@ let verilog_cmd =
   Cmd.v
     (Cmd.info "verilog"
        ~doc:"Emit the synthesized design as structural Verilog.")
-    Term.(const run $ kernel_opt $ tool_pos $ opt_flag)
+    Term.(const run $ design_term)
 
 let sim_cmd =
-  let run kernel tool optimized =
-    let d = pick_design kernel tool optimized in
+  let run (kernel, (d : Core.Design.t)) =
     let m = Core.Evaluate.measure ~spec:(Core.Kernel.spec kernel) d in
     Format.printf "%s %s (%s)@.  %a@.  Q = %.0f OPS/(LUT+FF)@."
-      (Core.Design.tool_name tool) d.Core.Design.label
+      (Core.Design.tool_name d.Core.Design.tool) d.Core.Design.label
       d.Core.Design.config_desc Core.Metrics.pp_measured m
       (Core.Metrics.quality m)
   in
   Cmd.v
     (Cmd.info "sim" ~doc:"Simulate and synthesize one design; print metrics.")
-    Term.(const run $ kernel_opt $ tool_pos $ opt_flag)
+    Term.(const run $ design_term)
 
 let waves_cmd =
   let out =
     Arg.(value & opt string "waves.vcd" & info [ "o"; "output" ] ~doc:"Output VCD file.")
   in
   let cycles =
-    Arg.(value & opt int 64 & info [ "cycles" ] ~doc:"Cycles to record.")
+    Arg.(value & opt pos_int 64 & info [ "cycles" ] ~doc:"Cycles to record.")
   in
-  let run kernel tool optimized out cycles =
-    let d = pick_design kernel tool optimized in
+  let run (kernel, (d : Core.Design.t)) out cycles =
     match d.Core.Design.impl with
     | Core.Design.Pcie _ -> prerr_endline "MaxJ kernels: use the stream simulators"
     | Core.Design.Stream c ->
@@ -416,61 +416,34 @@ let waves_cmd =
   in
   Cmd.v
     (Cmd.info "waves" ~doc:"Record a VCD waveform of a design under stream traffic.")
-    Term.(const run $ kernel_opt $ tool_pos $ opt_flag $ out $ cycles)
+    Term.(const run $ design_term $ out $ cycles)
 
 let sweep_cmd =
-  let run kernel tool jobs trace keep_going fault store =
-    arm_fault fault;
-    ignore (attach_store store);
-    let point_line (d : Core.Design.t) (m : Core.Metrics.measured) =
-      Printf.printf "%-34s A=%7d  P=%8.2f MOPS  f=%7.2f MHz\n%!"
-        d.Core.Design.label m.Core.Metrics.area m.Core.Metrics.throughput_mops
-        m.Core.Metrics.fmax_mhz
-    in
-    let failures =
-      with_trace trace (fun () ->
-          let spec = Core.Kernel.spec kernel in
-          let designs = (kernel_inventory kernel tool).Core.Kernel.inv_sweep in
-          if keep_going then (
-            let outcomes =
-              Core.Evaluate.measure_all_result ?jobs ~matrices:3 ~spec designs
-            in
-            List.iter2
-              (fun d r ->
-                match r with Ok m -> point_line d m | Error _ -> ())
-              designs outcomes;
-            List.filter_map
-              (function Error e -> Some e | Ok _ -> None)
-              outcomes)
-          else (
-            List.iter2 point_line designs
-              (Core.Evaluate.measure_all ?jobs ~matrices:3 ~spec designs);
-            []))
-    in
-    finish_failures failures
+  let run b tool =
+    run_batch b (fun { kernel; jobs; keep_going; _ } ->
+        let spec = Core.Kernel.spec kernel in
+        let designs = (kernel_inventory kernel tool).Core.Kernel.inv_sweep in
+        let outcomes =
+          Core.Evaluate.measure_all ?jobs ~keep_going ~matrices:3 ~spec designs
+        in
+        List.iter2
+          (fun (d : Core.Design.t) -> function
+            | Ok (m : Core.Metrics.measured) ->
+                Printf.printf "%-34s A=%7d  P=%8.2f MOPS  f=%7.2f MHz\n%!"
+                  d.Core.Design.label m.Core.Metrics.area
+                  m.Core.Metrics.throughput_mops m.Core.Metrics.fmax_mhz
+            | Error _ -> ())
+          designs outcomes;
+        Core.Evaluate.failures outcomes)
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Measure every configuration of one tool.")
-    Term.(
-      const run $ kernel_opt $ tool_pos $ jobs_opt $ trace_opt
-      $ keep_going_flag $ fault_opt $ store_opt)
+    Term.(const run $ batch_term ~store:true () $ tool_pos)
 
 let dse_cmd =
-  let strategy_conv =
-    Arg.conv
-      ( (fun s ->
-          match Dse.Strategy.parse s with
-          | Ok v -> Ok v
-          | Error e -> Error (`Msg e)),
-        fun ppf s -> Format.pp_print_string ppf (Dse.Strategy.to_string s) )
-  in
+  let strategy_conv = conv Dse.Strategy.parse Dse.Strategy.to_string in
   let objective_conv =
-    Arg.conv
-      ( (fun s ->
-          match Dse.Engine.parse_objective s with
-          | Ok v -> Ok v
-          | Error e -> Error (`Msg e)),
-        fun ppf o -> Format.pp_print_string ppf (Dse.Engine.objective_name o) )
+    conv Dse.Engine.parse_objective Dse.Engine.objective_name
   in
   let strategy =
     Arg.(
@@ -495,7 +468,7 @@ let dse_cmd =
   let budget =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "budget" ] ~docv:"K"
           ~doc:
             "Evaluation budget: at most $(docv) distinct candidates are \
@@ -541,63 +514,45 @@ let dse_cmd =
              Derived candidates are re-derived and equivalence-checked \
              when first measured.")
   in
-  let run kernel strategy seed budget objective tools jobs json check_fig1
-      transfo trace keep_going fault store =
-    arm_fault fault;
-    ignore (attach_store store);
-    check_kernel_tools kernel tools;
-    if check_fig1 && (strategy <> Dse.Strategy.Exhaustive || budget <> None)
-    then begin
-      Printf.eprintf
-        "hlsvhc dse: --check-fig1 requires --strategy exhaustive and no \
-         --budget (the check is over the full sweep space)\n";
-      exit 2
-    end;
-    if check_fig1 && transfo then begin
-      Printf.eprintf
-        "hlsvhc dse: --check-fig1 is over the paper's sweep space; it \
-         cannot be combined with --transfo\n";
-      exit 2
-    end;
-    let failures =
-      with_trace trace (fun () ->
-          let selected =
-            match tools with
-            | Some ts -> ts
-            | None -> Core.Kernel.tools kernel
-          in
-          let spaces = List.map (Dse.Space.of_tool ~kernel) selected in
-          let spaces =
-            if transfo then List.map Dse.Space.with_scripts spaces
-            else spaces
-          in
-          let result =
-            Dse.Engine.run ?jobs ~keep_going ?budget ~seed ~strategy
-              ~objective spaces
-          in
-          print_string (Dse.Report.render result);
-          Option.iter
-            (fun path ->
-              Dse.Report.write_json path result;
-              Printf.eprintf "dse: wrote %s\n%!" path)
-            json;
-          if check_fig1 then begin
-            match
-              Dse.Report.crosscheck_fig1 ?jobs ~tools:selected ~kernel result
-            with
-            | Ok msg -> print_string (msg ^ "\n")
-            | Error diff ->
-                prerr_string diff;
-                exit 1
-          end;
-          List.filter_map
-            (fun (ev : Dse.Engine.evaluated) ->
-              match ev.Dse.Engine.ev_outcome with
-              | Error e -> Some e
-              | Ok _ -> None)
-            result.Dse.Engine.res_evaluated)
-    in
-    finish_failures failures
+  let run b strategy seed budget objective json check_fig1 transfo =
+    run_batch b (fun { kernel; jobs; keep_going; tools; _ } ->
+        if check_fig1 && (strategy <> Dse.Strategy.Exhaustive || budget <> None)
+        then
+          die
+            "hlsvhc dse: --check-fig1 requires --strategy exhaustive and no \
+             --budget (the check is over the full sweep space)";
+        if check_fig1 && transfo then
+          die
+            "hlsvhc dse: --check-fig1 is over the paper's sweep space; it \
+             cannot be combined with --transfo";
+        let selected = Option.value tools ~default:(Core.Kernel.tools kernel) in
+        let spaces = List.map (Dse.Space.of_tool ~kernel) selected in
+        let spaces =
+          if transfo then List.map Dse.Space.with_scripts spaces else spaces
+        in
+        let result =
+          Dse.Engine.run ?jobs ~keep_going ?budget ~seed ~strategy ~objective
+            spaces
+        in
+        print_string (Dse.Report.render result);
+        Option.iter
+          (fun path ->
+            Dse.Report.write_json path result;
+            Printf.eprintf "dse: wrote %s\n%!" path)
+          json;
+        if check_fig1 then begin
+          match
+            Dse.Report.crosscheck_fig1 ?jobs ~tools:selected ~kernel result
+          with
+          | Ok msg -> print_string (msg ^ "\n")
+          | Error diff ->
+              prerr_string diff;
+              exit 1
+        end;
+        Core.Evaluate.failures
+          (List.map
+             (fun ev -> ev.Dse.Engine.ev_outcome)
+             result.Dse.Engine.res_evaluated))
   in
   Cmd.v
     (Cmd.info "dse"
@@ -606,9 +561,8 @@ let dse_cmd =
           under an evaluation budget) and print the explored cloud with \
           its Pareto frontier.")
     Term.(
-      const run $ kernel_opt $ strategy $ seed $ budget $ objective
-      $ tools_opt $ jobs_opt $ json $ check_fig1 $ transfo_flag $ trace_opt
-      $ keep_going_flag $ fault_opt $ store_opt)
+      const run $ batch_term ~tools:true ~store:true () $ strategy $ seed
+      $ budget $ objective $ json $ check_fig1 $ transfo_flag)
 
 let transfo_cmd =
   let list_flag =
@@ -643,7 +597,7 @@ let transfo_cmd =
   in
   let cycles_opt =
     Arg.(
-      value & opt int 256
+      value & opt pos_int 256
       & info [ "cycles" ] ~docv:"N"
           ~doc:"Random-stimulus cycles per verification obligation.")
   in
@@ -669,44 +623,37 @@ let transfo_cmd =
           (Chisel.Idct_gen.arch Chisel.Idct_gen.Inferred ~name:"chisel_arch"
              ())
     | spec -> (
-        let tool_str, optimized =
+        let tool_str, variant =
           match String.index_opt spec '/' with
-          | None -> (spec, false)
-          | Some i -> (
-              let variant =
-                String.sub spec (i + 1) (String.length spec - i - 1)
-              in
+          | None -> (spec, "initial")
+          | Some i ->
               ( String.sub spec 0 i,
-                match variant with
-                | "optimized" | "opt" -> true
-                | "initial" -> false
-                | _ ->
-                    Printf.eprintf
-                      "hlsvhc transfo: unknown design variant %S (expected \
-                       initial or optimized)\n"
-                      variant;
-                    exit 2 ))
+                String.sub spec (i + 1) (String.length spec - i - 1) )
+        in
+        let pick =
+          match variant with
+          | "optimized" | "opt" -> Core.Registry.optimized
+          | "initial" -> Core.Registry.initial
+          | _ ->
+              die
+                "hlsvhc transfo: unknown design variant %S (expected \
+                 initial or optimized)"
+                variant
         in
         match Core.Registry.parse_tool tool_str with
         | None ->
-            Printf.eprintf "hlsvhc transfo: %s; or use %s\n"
+            die "hlsvhc transfo: %s; or use %s"
               (Core.Registry.unknown_tool_msg tool_str)
-              "\"row\" / \"arch\"";
-            exit 2
+              "\"row\" / \"arch\""
         | Some t -> (
-            let d =
-              if optimized then Core.Registry.optimized t
-              else Core.Registry.initial t
-            in
-            match d.Core.Design.impl with
+            match (pick t).Core.Design.impl with
             | Core.Design.Stream l ->
                 Transfo.Subject.of_circuit (Core.Design.force l)
             | Core.Design.Pcie _ ->
-                Printf.eprintf
+                die
                   "hlsvhc transfo: %s is a PCIe system design; \
-                   transformations operate on stream netlists\n"
-                  (Core.Design.tool_name t);
-                exit 2))
+                   transformations operate on stream netlists"
+                  (Core.Design.tool_name t)))
   in
   let run list_catalog script subject cycles seed out trace =
     if list_catalog then
@@ -724,30 +671,24 @@ let transfo_cmd =
     else
       match script with
       | None ->
-          Printf.eprintf
-            "hlsvhc transfo: nothing to do (use --script SCRIPT, or --list)\n";
-          exit 2
+          die "hlsvhc transfo: nothing to do (use --script SCRIPT, or --list)"
       | Some src -> (
           let script =
             match Transfo.Script.parse src with
             | Ok s -> s
-            | Error e ->
-                Printf.eprintf "hlsvhc transfo: --script: %s\n" e;
-                exit 2
+            | Error e -> die "hlsvhc transfo: --script: %s" e
           in
           let subject = parse_subject subject in
           match
             with_trace trace (fun () ->
                 Transfo.Engine.run ~cycles ~seed script subject)
           with
-          | Error (Transfo.Engine.Unknown_transfo _ as e) ->
-              Printf.eprintf "hlsvhc transfo: %s\n"
-                (Transfo.Engine.error_to_string e);
-              exit 2
           | Error e ->
-              Printf.eprintf "hlsvhc transfo: %s\n"
-                (Transfo.Engine.error_to_string e);
-              exit 1
+              die
+                ~code:
+                  (match e with Transfo.Engine.Unknown_transfo _ -> 2 | _ -> 1)
+                "hlsvhc transfo: %s"
+                (Transfo.Engine.error_to_string e)
           | Ok r ->
               List.iter
                 (fun (sr : Transfo.Engine.step_report) ->
@@ -853,10 +794,8 @@ let serve_cmd =
        conn-timeout: %.1fs, max-inflight: %d)\n\
        %!"
       socket
-      (match store_t with Some t -> Store.dir t | None -> "none")
-      (match jobs with
-      | Some j -> string_of_int j
-      | None -> "default")
+      (Option.fold ~none:"none" ~some:Store.dir store_t)
+      (Option.fold ~none:"default" ~some:string_of_int jobs)
       conn_workers conn_timeout max_inflight;
     let counters =
       with_trace trace (fun () ->
@@ -917,9 +856,7 @@ let store_fsck_cmd =
   in
   let run dir repair =
     match Store.fsck ~repair dir with
-    | Error e ->
-        Printf.eprintf "hlsvhc store fsck: %s\n" e;
-        exit 2
+    | Error e -> die "hlsvhc store fsck: %s" e
     | Ok r ->
         Printf.printf "%s: %d entries, %d valid, %d invalid\n" dir
           r.Store.fk_total r.Store.fk_valid
@@ -958,9 +895,7 @@ let store_gc_cmd =
   in
   let run dir max_entries max_bytes =
     match Store.gc ?max_entries ?max_bytes dir with
-    | Error e ->
-        Printf.eprintf "hlsvhc store gc: %s\n" e;
-        exit 2
+    | Error e -> die "hlsvhc store gc: %s" e
     | Ok r ->
         Printf.printf
           "%s: kept %d of %d entries (%d -> %d bytes), deleted %d\n" dir
@@ -990,16 +925,12 @@ let stats_cmd =
   let run file =
     match Core.Trace.render_stats file with
     | s -> print_string s
-    | exception Sys_error e ->
-        Printf.eprintf "hlsvhc stats: %s\n" e;
-        exit 1
+    | exception Sys_error e -> die ~code:1 "hlsvhc stats: %s" e
     | exception Failure e ->
-        Printf.eprintf "hlsvhc stats: cannot parse %s: %s\n" file e;
-        exit 1
+        die ~code:1 "hlsvhc stats: cannot parse %s: %s" file e
     | exception e ->
-        Printf.eprintf "hlsvhc stats: unexpected error reading %s: %s\n" file
-          (Printexc.to_string e);
-        exit 1
+        die ~code:1 "hlsvhc stats: unexpected error reading %s: %s" file
+          (Printexc.to_string e)
   in
   Cmd.v
     (Cmd.info "stats"

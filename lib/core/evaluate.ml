@@ -71,24 +71,37 @@ let clear_measure_cache () =
   Measure_cache.clear ();
   Flow.clear_shared ()
 
-(* Map [measure] over independent designs on the domain pool.  Each
-   design's lazy circuit is forced inside its own job, so no builder state
-   is shared across domains; results come back in input order. *)
-let measure_all ?jobs ?(matrices = 4) ~spec designs =
-  Parallel.map ?jobs (fun d -> measure ~matrices ~spec d) designs
+(* The one batch path: [f] over independent designs on the domain pool,
+   results in input order, each failure typed under its design's key.
+   Keep-going runs every design; fail-fast stops claiming new designs at
+   the first failure and raises it. *)
+let batch ?jobs ~keep_going f designs =
+  let typed d e = Flow.error_of_exn ~design:(Flow.span_key d) e in
+  if keep_going then
+    List.map2
+      (fun d r -> Result.map_error (fun (e, _bt) -> typed d e) r)
+      designs
+      (Parallel.map_result ?jobs f designs)
+  else
+    Parallel.map ?jobs
+      (fun d ->
+        match f d with
+        | v -> Ok v
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            Printexc.raise_with_backtrace (Flow.Error (typed d e)) bt)
+      designs
 
-(* The keep-going sweep: every design runs to completion, failed points
-   come back as their typed flow error instead of aborting the batch. *)
-let measure_all_result ?jobs ?(matrices = 4) ~spec designs =
-  List.map2
-    (fun d -> function
-      | Ok m -> Ok m
-      | Error (e, _bt) -> Error (Flow.error_of_exn ~design:(Flow.span_key d) e))
-    designs
-    (Parallel.map_result ?jobs (fun d -> measure ~matrices ~spec d) designs)
+let failures outcomes =
+  List.filter_map (function Error e -> Some e | Ok _ -> None) outcomes
+
+(* Each design's lazy circuit is forced inside its own job, so no builder
+   state is shared across domains. *)
+let measure_all ?jobs ?(keep_going = false) ?(matrices = 4) ~spec designs =
+  batch ?jobs ~keep_going (measure ~matrices ~spec) designs
 
 let check_compliance ?(blocks = 500) ~(spec : Flow.spec) (d : Design.t) =
-  Trace.with_span ~design:(Flow.span_design spec d) ~stage:"comply" (fun () ->
+  Flow.stage ~spec d "comply" (fun () ->
       Trace.add_counter "blocks" blocks;
       match d.Design.impl with
       | Design.Stream circuit ->
@@ -114,16 +127,5 @@ let check_compliance ?(blocks = 500) ~(spec : Flow.spec) (d : Design.t) =
           let got = p.Design.simulate mats in
           List.for_all2 Axis.Block.equal got (List.map spec.Flow.reference mats))
 
-(* The compliance sweep: every design checked on the domain pool, results
-   paired with their design in input order. *)
-let compliance_all ?jobs ?(blocks = 500) ~spec designs =
-  Parallel.map ?jobs (fun d -> (d, check_compliance ~blocks ~spec d)) designs
-
-let compliance_all_result ?jobs ?(blocks = 500) ~spec designs =
-  List.map2
-    (fun d -> function
-      | Ok ok -> (d, Ok ok)
-      | Error (e, _bt) ->
-          (d, Error (Flow.error_of_exn ~design:(Flow.span_key d) e)))
-    designs
-    (Parallel.map_result ?jobs (fun d -> check_compliance ~blocks ~spec d) designs)
+let compliance_all ?jobs ?(keep_going = false) ?(blocks = 500) ~spec designs =
+  batch ?jobs ~keep_going (check_compliance ~blocks ~spec) designs

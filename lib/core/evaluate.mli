@@ -61,22 +61,25 @@ val is_cached : ?matrices:int -> spec:Flow.spec -> Design.t -> bool
     defaults as in {!measure}). *)
 
 val measure_all :
-  ?jobs:int -> ?matrices:int -> spec:Flow.spec -> Design.t list -> Metrics.measured list
-(** [measure] mapped over independent designs on the domain pool
-    ({!Parallel.map}); results keep input order.  Each design's lazy
-    circuit is forced inside its own job, so builder state never crosses
-    domains.  Fail-fast: the first failing design aborts the batch with
-    its {!Flow.Error}. *)
-
-val measure_all_result :
   ?jobs:int ->
+  ?keep_going:bool ->
   ?matrices:int ->
   spec:Flow.spec ->
   Design.t list ->
   (Metrics.measured, Flow.error) result list
-(** The keep-going batch ({!Parallel.map_result}): every design runs to
-    completion; a failed point carries its typed {!Flow.error} in its
-    input-order slot instead of aborting the others. *)
+(** [measure] mapped over independent designs on the domain pool
+    ({!Parallel.map}); results keep input order.  Each design's lazy
+    circuit is forced inside its own job, so builder state never crosses
+    domains.
+
+    With [keep_going] every design runs to completion, and a failed
+    design carries its typed {!Flow.error} in its own slot.  Without it
+    (the default) the pool stops claiming new designs at the first
+    failure, and the call raises that failure as a {!Flow.Error} under
+    the design's {!Flow.span_key}; every slot it returns is [Ok]. *)
+
+val failures : ('a, Flow.error) result list -> Flow.error list
+(** The [Error] slots of a batch, in order. *)
 
 val check_compliance : ?blocks:int -> spec:Flow.spec -> Design.t -> bool
 (** The kernel's compliance procedure ([spec.comply] — IEEE 1180-1990
@@ -85,22 +88,18 @@ val check_compliance : ?blocks:int -> spec:Flow.spec -> Design.t -> bool
     simulator (dispatching on the design under test).  The default of 500 blocks
     per condition is about the statistical minimum: the per-position
     mean-error criterion (0.015) needs several hundred samples before
-    estimator noise stays under the threshold. *)
+    estimator noise stays under the threshold.
+
+    It runs as the {!Flow.stage} [comply]: a trace span, a
+    [crash@comply] fault probe, and any failure raised as a
+    {!Flow.Error} of stage [comply]. *)
 
 val compliance_all :
   ?jobs:int ->
+  ?keep_going:bool ->
   ?blocks:int ->
   spec:Flow.spec ->
   Design.t list ->
-  (Design.t * bool) list
-(** The compliance sweep on the domain pool: every design checked
-    concurrently, paired with its verdict in input order. *)
-
-val compliance_all_result :
-  ?jobs:int ->
-  ?blocks:int ->
-  spec:Flow.spec ->
-  Design.t list ->
-  (Design.t * (bool, Flow.error) result) list
-(** Keep-going compliance: a design whose check raises is paired with
-    its typed error instead of aborting the sweep. *)
+  (bool, Flow.error) result list
+(** The compliance sweep on the domain pool: every design's verdict in
+    input order, with the failure semantics of {!measure_all}. *)

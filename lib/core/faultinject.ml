@@ -40,6 +40,10 @@ let to_string s =
     (if s.target = "" then "*" else s.target)
     s.seed
 
+let crash_stages =
+  [ "elaborate"; "validate"; "simulate"; "verify"; "synthesize"; "metrics";
+    "comply" ]
+
 let parse text =
   let fault_of = function
     | "engine-crash" -> Ok Engine_crash
@@ -49,8 +53,15 @@ let parse text =
     | "slow-client" -> Ok Slow_client
     | "conn-drop" -> Ok Conn_drop
     | "shed" -> Ok Shed
-    | f when String.length f > 6 && String.sub f 0 6 = "crash@" ->
-        Ok (Crash (String.sub f 6 (String.length f - 6)))
+    | f when String.starts_with ~prefix:"crash@" f ->
+        let stage = String.sub f 6 (String.length f - 6) in
+        if List.mem stage crash_stages then Ok (Crash stage)
+        else
+          (* A stage no probe checks would never fire: a silent no-op. *)
+          Error
+            (Printf.sprintf "unknown stage %S in %s (valid stages: %s)" stage
+               f
+               (String.concat ", " crash_stages))
     | f ->
         Error
           (Printf.sprintf

@@ -59,9 +59,14 @@ exception Injected of string
 (** Raised at an armed injection point; carries a human-readable
     description of the injected fault. *)
 
+val crash_stages : string list
+(** The stages a [crash@STAGE] probe checks: {!Flow.stage_names} and
+    [comply] ({!Evaluate.check_compliance}). *)
+
 val parse : string -> (spec, string) result
 (** Parse ["FAULT:TARGET[:SEED]"] — [FAULT] one of [engine-crash],
-    [stall], [poison], [protocol], [crash@STAGE], [slow-client],
+    [stall], [poison], [protocol], [crash@STAGE] ([STAGE] one of
+    {!crash_stages}; any other stage is an error), [slow-client],
     [conn-drop] or [shed]; [TARGET] a span-key substring ([*] for all
     designs; unused by the connection faults); [SEED] a non-negative
     integer (default 0). *)

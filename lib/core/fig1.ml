@@ -32,10 +32,11 @@ let point_of (d : Design.t) (m : Metrics.measured) =
 (* One flat work list across every uncached tool — ~100 independent
    measurements for the full figure — mapped over the domain pool in one
    batch so a tool with few configurations does not leave domains idle.
-   [Parallel.map] preserves input order, so regrouping by sweep length
+   The batch preserves input order, so regrouping by sweep length
    reassembles each tool's series exactly as the sequential path built
-   them. *)
-let compute_outcomes ?jobs ?tools ?(kernel = Kernel.idct) ~keep_going () =
+   them; a failed point (keep-going only) is dropped from its series and
+   its typed error kept. *)
+let compute ?jobs ?keep_going ?tools ?(kernel = Kernel.idct) () =
   let spec = Kernel.spec kernel in
   let kname = Kernel.name kernel in
   let tools =
@@ -44,67 +45,42 @@ let compute_outcomes ?jobs ?tools ?(kernel = Kernel.idct) ~keep_going () =
   let missing = List.filter (fun t -> cache_find kname t = None) tools in
   let sweeps = List.map (fun t -> (t, Kernel.sweep kernel t)) missing in
   let designs = List.concat_map snd sweeps in
-  (* Fail-fast measures on [Parallel.map] (first failure aborts the
-     batch, byte-identical to the historical path); keep-going measures
-     on [Parallel.map_result] so every surviving point is kept and each
-     failed point records its typed error. *)
   let outcomes =
-    if keep_going then
-      Evaluate.measure_all_result ?jobs ~matrices:3 ~spec designs
-    else
-      List.map
-        (fun m -> Ok m)
-        (Evaluate.measure_all ?jobs ~matrices:3 ~spec designs)
+    Evaluate.measure_all ?jobs ?keep_going ~matrices:3 ~spec designs
   in
-  let failures = ref [] in
-  let rec regroup sweeps outcomes acc =
-    match sweeps with
-    | [] -> List.rev acc
-    | (tool, sweep) :: rest ->
-        let rec take k acc = function
-          | ms when k = 0 -> (List.rev acc, ms)
-          | m :: ms -> take (k - 1) (m :: acc) ms
-          | [] -> assert false
-        in
-        let ms, outcomes = take (List.length sweep) [] outcomes in
+  let rest = ref outcomes in
+  let fresh =
+    List.map
+      (fun (tool, sweep) ->
         let points =
-          List.concat
-            (List.map2
-               (fun d -> function
-                 | Ok m -> [ point_of d m ]
-                 | Error (err : Flow.error) ->
-                     failures := err :: !failures;
-                     [])
-               sweep ms)
+          List.filter_map
+            (fun d ->
+              let r = List.hd !rest in
+              rest := List.tl !rest;
+              Result.to_option (Result.map (point_of d) r))
+            sweep
         in
         let s = { tool; points } in
         (* Only complete series enter the cache: a series missing failed
            points must not shadow a later fault-free run. *)
         if List.length points = List.length sweep then cache_store kname tool s;
-        regroup rest outcomes ((tool, s) :: acc)
+        (tool, s))
+      sweeps
   in
-  let fresh = regroup sweeps outcomes [] in
   let series =
     List.map
       (fun t ->
         match List.assoc_opt t fresh with
         | Some s -> s
-        | None -> (
-            match cache_find kname t with Some s -> s | None -> assert false))
+        | None -> Option.get (cache_find kname t))
       tools
   in
-  (series, List.rev !failures)
-
-let compute ?jobs ?tools ?kernel () =
-  fst (compute_outcomes ?jobs ?tools ?kernel ~keep_going:false ())
-
-let compute_result ?jobs ?tools ?kernel () =
-  compute_outcomes ?jobs ?tools ?kernel ~keep_going:true ()
+  (series, Evaluate.failures outcomes)
 
 let points ?jobs ?tools ?kernel () =
   List.concat_map
     (fun s -> List.map (fun p -> (s.tool, p)) s.points)
-    (compute ?jobs ?tools ?kernel ())
+    (fst (compute ?jobs ?tools ?kernel ()))
 
 (* Machine-readable Fig. 1: the same point set as the ASCII scatter, one
    JSON object per series, written temp-file + rename so readers never
@@ -142,7 +118,7 @@ let write_json ?(kernel = Kernel.idct) path series =
    flow's registration. *)
 let glyph = Registry.glyph
 
-let render_series ?(kernel = Kernel.idct) series =
+let render ?(kernel = Kernel.idct) series =
   let buf = Buffer.create 4096 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   (* Data listing. *)
@@ -194,10 +170,3 @@ let render_series ?(kernel = Kernel.idct) series =
   pr "area: %.0f .. %.0f   throughput: %.2f .. %.2f MOPS\n"
     (10. ** min_x) (10. ** max_x) (10. ** min_y) (10. ** max_y);
   Buffer.contents buf
-
-let render ?jobs ?tools ?kernel () =
-  render_series ?kernel (compute ?jobs ?tools ?kernel ())
-
-let render_result ?jobs ?tools ?kernel () =
-  let series, failures = compute_result ?jobs ?tools ?kernel () in
-  (render_series ?kernel series, failures)

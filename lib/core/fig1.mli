@@ -15,27 +15,23 @@ type series = { tool : Design.tool; points : point list }
 
 val compute :
   ?jobs:int ->
-  ?tools:Design.tool list ->
-  ?kernel:(module Kernel.KERNEL) ->
-  unit ->
-  series list
-(** Measures every sweep configuration of [kernel] (default the paper's
-    IDCT) on the domain pool ({!Parallel.map}; [jobs] defaults to
-    {!Parallel.default_jobs}) and caches the finished series per
-    (kernel, tool).  The result is deterministic: the same series, point
-    for point, for any job count. *)
-
-val compute_result :
-  ?jobs:int ->
+  ?keep_going:bool ->
   ?tools:Design.tool list ->
   ?kernel:(module Kernel.KERNEL) ->
   unit ->
   series list * Flow.error list
-(** The keep-going sweep ({!Evaluate.measure_all_result}): failed points
-    are dropped from their series and returned as typed errors in sweep
-    order; every surviving point is identical to the fail-fast run.
-    Series with failures are not cached, so a later fault-free run
-    recomputes them in full. *)
+(** Measures every sweep configuration of [kernel] (default the paper's
+    IDCT) in one {!Evaluate.measure_all} batch ([jobs] defaults to
+    {!Parallel.default_jobs}) and caches the finished series per
+    (kernel, tool).  The result is deterministic: the same series, point
+    for point, for any job count.
+
+    Fail-fast (the default) raises the first failure as a
+    {!Flow.Error}, so the error list is empty.  With [keep_going] a
+    failed point is dropped from its series and returned as a typed
+    error, in sweep order; every surviving point is identical to the
+    fault-free run.  Series with failures are not cached, so a later
+    fault-free run recomputes them in full. *)
 
 val clear_cache : unit -> unit
 (** Drop the per-tool series cache (tests and benchmarks).  Memoized
@@ -47,8 +43,8 @@ val points :
   ?kernel:(module Kernel.KERNEL) ->
   unit ->
   (Design.tool * point) list
-(** {!compute} flattened to one [(tool, point)] list in series order —
-    the point set the DSE cross-check compares against. *)
+(** The fail-fast {!compute}, flattened to one [(tool, point)] list in
+    series order — the point set the DSE cross-check compares against. *)
 
 val write_json :
   ?kernel:(module Kernel.KERNEL) -> string -> series list -> unit
@@ -58,24 +54,6 @@ val write_json :
     ["kernel"] field; the IDCT artifact is byte-identical to the
     pre-kernel format. *)
 
-val render_series :
-  ?kernel:(module Kernel.KERNEL) -> series list -> string
-(** Render an already-computed series list (data table + scatter);
-    [kernel] supplies the axis caption and legend. *)
-
-val render :
-  ?jobs:int ->
-  ?tools:Design.tool list ->
-  ?kernel:(module Kernel.KERNEL) ->
-  unit ->
-  string
-(** Data table plus an ASCII log-log scatter of the plane. *)
-
-val render_result :
-  ?jobs:int ->
-  ?tools:Design.tool list ->
-  ?kernel:(module Kernel.KERNEL) ->
-  unit ->
-  string * Flow.error list
-(** {!render} over {!compute_result}: the figure restricted to the
-    surviving points, plus the failures for the caller's summary. *)
+val render : ?kernel:(module Kernel.KERNEL) -> series list -> string
+(** Data table plus an ASCII log-log scatter of the plane; [kernel]
+    supplies the axis caption and legend. *)

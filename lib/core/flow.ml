@@ -214,30 +214,31 @@ end)
 let shared : Metrics.measured Shared.t = Shared.create 128
 let clear_shared () = Shared.clear shared
 
+(* Trace spans carry the kernel-qualified identity so mixed-kernel
+   traces stay attributable; fault targeting and error payloads keep the
+   plain ["Tool/label"] key, which is the stable user-facing name. *)
+let stage ~spec (d : Design.t) name f =
+  let key = span_key d in
+  Trace.with_span ~design:(span_design spec d) ~stage:name (fun () ->
+      try
+        Faultinject.crash_at_stage ~design:key ~stage:name;
+        f ()
+      with
+      | Error _ as e -> raise e
+      | e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Printexc.raise_with_backtrace
+            (Error
+               {
+                 err_design = key;
+                 err_stage = name;
+                 err_class = classify ~stage:name e;
+               })
+            bt)
+
 let measure_uncached ?(matrices = 4) ~spec (d : Design.t) : Metrics.measured =
   let key = span_key d in
-  (* Trace spans carry the kernel-qualified identity so mixed-kernel
-     traces stay attributable; fault targeting and error payloads keep
-     the plain ["Tool/label"] key, which is the stable user-facing name. *)
-  let traced = span_design spec d in
-  let stage name f =
-    Trace.with_span ~design:traced ~stage:name (fun () ->
-        try
-          Faultinject.crash_at_stage ~design:key ~stage:name;
-          f ()
-        with
-        | Error _ as e -> raise e
-        | e ->
-            let bt = Printexc.get_raw_backtrace () in
-            Printexc.raise_with_backtrace
-              (Error
-                 {
-                   err_design = key;
-                   err_stage = name;
-                   err_class = classify ~stage:name e;
-                 })
-              bt)
-  in
+  let stage name f = stage ~spec d name f in
   match d.Design.impl with
   | Design.Stream circuit ->
       let circuit =

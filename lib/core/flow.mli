@@ -110,6 +110,15 @@ val error_of_exn : design:string -> exn -> error
 val render_failure_summary : error list -> string
 (** The keep-going failure table: one row per failed design point. *)
 
+val stage : spec:spec -> Design.t -> string -> (unit -> 'a) -> 'a
+(** [stage ~spec d name f] runs [f] as stage [name] of design [d]: in a
+    {!Trace} span under {!span_design}, behind the
+    {!Faultinject.crash_at_stage} probe for [name], with any exception
+    other than an {!Error} re-raised as an {!Error} of that stage
+    (classified by the stage it escaped from).  {!measure_uncached}
+    runs its six stages through it, {!Evaluate.check_compliance} its
+    [comply] stage. *)
+
 val measure_uncached : ?matrices:int -> spec:spec -> Design.t -> Metrics.measured
 (** Run the full staged pipeline on one design under [spec]'s kernel.
     [matrices] (default 4) sets the simulated stream length.  The kernel

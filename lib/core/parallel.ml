@@ -48,15 +48,12 @@ let clamp_jobs jobs n =
   in
   max 1 (min requested n)
 
-(* The pool skeleton shared by [map] and [map_result]: an atomic cursor
-   over the input array; each worker claims the next index, runs the job
-   and stores the outcome in its slot.  Under [~abort:true] (the [map]
-   semantics) the first exception (in claim order) is kept in [failed]
-   and the remaining workers drain without starting new jobs; under
-   [~abort:false] every item runs and failures stay per-slot.  Either
-   way every domain is joined — the pool never deadlocks on a raising
-   job. *)
-let pooled ~jobs ~abort f items =
+(* The pool: an atomic cursor over the input array; each worker claims
+   the next index, runs the job and stores its value in that slot.  The
+   first exception raised is kept in [failed], the remaining workers
+   drain without starting new jobs, and every domain is joined before it
+   is re-raised — the pool never deadlocks on a raising job. *)
+let pooled ~jobs f items =
   let n = Array.length items in
   (* Capture the trace switch once, before spawning: workers must agree
      with the caller on whether to record, even if the flag is toggled
@@ -74,17 +71,15 @@ let pooled ~jobs ~abort f items =
       let running = ref true in
       while !running do
         let i = Atomic.fetch_and_add next 1 in
-        if i >= n || (abort && Atomic.get failed <> None) then running := false
+        if i >= n || Atomic.get failed <> None then running := false
         else begin
           incr claimed;
           let t0 = if traced then Unix.gettimeofday () else 0.0 in
           (match f items.(i) with
-          | v -> results.(i) <- Some (Ok v)
+          | v -> results.(i) <- Some v
           | exception e ->
               let bt = Printexc.get_raw_backtrace () in
-              results.(i) <- Some (Error (e, bt));
-              if abort then
-                ignore (Atomic.compare_and_set failed None (Some (e, bt))));
+              ignore (Atomic.compare_and_set failed None (Some (e, bt))));
           if traced then busy := !busy +. (Unix.gettimeofday () -. t0)
         end
       done;
@@ -114,39 +109,27 @@ let pooled ~jobs ~abort f items =
         Trace.add_counter "items" n;
         spawn_and_join ())
   else spawn_and_join ();
-  (results, Atomic.get failed)
+  (match Atomic.get failed with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ());
+  Array.to_list (Array.map Option.get results)
 
+(* An empty list or a single job runs inline on the calling domain. *)
 let map ?jobs f xs =
   let items = Array.of_list xs in
-  let n = Array.length items in
-  let jobs = clamp_jobs jobs n in
-  if n = 0 then []
-  else if jobs = 1 then List.map f xs
-  else begin
-    let results, failed = pooled ~jobs ~abort:true f items in
-    (match failed with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    Array.to_list
-      (Array.map (function Some (Ok v) -> v | _ -> assert false) results)
-  end
+  match clamp_jobs jobs (Array.length items) with
+  | 1 -> List.map f xs
+  | jobs -> pooled ~jobs f items
 
+(* Keep-going is [map] over a job that cannot raise: each slot captures
+   its own outcome, so the pool's abort never fires. *)
 let map_result ?jobs f xs =
-  let capture x =
-    match f x with
-    | v -> Ok v
-    | exception e -> Error (e, Printexc.get_raw_backtrace ())
-  in
-  let items = Array.of_list xs in
-  let n = Array.length items in
-  let jobs = clamp_jobs jobs n in
-  if n = 0 then []
-  else if jobs = 1 then List.map capture xs
-  else begin
-    let results, _ = pooled ~jobs ~abort:false f items in
-    Array.to_list
-      (Array.map (function Some r -> r | None -> assert false) results)
-  end
+  map ?jobs
+    (fun x ->
+      match f x with
+      | v -> Ok v
+      | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+    xs
 
 (* Content-keyed in-memory result cache, shared across domains: a keyed
    once-table, so a key missed by two domains at once (two serve

@@ -41,8 +41,9 @@ val map_result :
     other items' failures, and each slot carries its own outcome — the
     job's value, or the exception (with backtrace) it raised.  Result
     order is the input order for any job count, and the call itself
-    never raises on a failing job.  Shares the pool skeleton, trace
-    spans and [~jobs:1] inline path with {!map}. *)
+    never raises on a failing job.  It is {!map} over a job that
+    captures its own outcome, so the pool, trace spans and [~jobs:1]
+    inline path are {!map}'s. *)
 
 module Memo (V : sig
   type t

@@ -48,7 +48,7 @@ let compute_row ~kernel ~spec verilog_initial_loc verilog_best_q tool =
    suffices, as the single ref did before. *)
 let computed : (string, row list) Hashtbl.t = Hashtbl.create 4
 
-let compute_outcomes ?jobs ?tools ?(kernel = Kernel.idct) ~keep_going () =
+let compute ?jobs ?keep_going ?tools ?(kernel = Kernel.idct) () =
   let spec = Kernel.spec kernel in
   let kernel_tools = Kernel.tools kernel in
   (* The first registered tool anchors the relative indicators — Verilog
@@ -68,36 +68,27 @@ let compute_outcomes ?jobs ?tools ?(kernel = Kernel.idct) ~keep_going () =
   | None ->
       (* Warm the measurement cache over every initial/optimized design on
          the domain pool; the sequential row construction below then reads
-         measurements back from the cache.  Keep-going warms with
-         [measure_all_result] so one failed design costs its own tool's
-         column pair, not the table.  A [--tools] restriction still warms
-         the anchor pair: alpha and C_Q are normalized against it. *)
+         measurements back from the cache.  Under keep-going one failed
+         design costs its own tool's column pair, not the table.  A
+         [--tools] restriction still warms the anchor pair: alpha and C_Q
+         are normalized against it. *)
       let warm_tools =
         if List.mem anchor selected then selected else anchor :: selected
       in
-      let designs =
+      let warm =
         List.concat_map
-          (fun t -> [ Kernel.initial kernel t; Kernel.optimized kernel t ])
+          (fun t ->
+            [ (t, Kernel.initial kernel t); (t, Kernel.optimized kernel t) ])
           warm_tools
       in
-      let failures =
-        if keep_going then
-          List.filter_map
-            (function Ok _ -> None | Error (e : Flow.error) -> Some e)
-            (Evaluate.measure_all_result ?jobs ~spec designs)
-        else begin
-          ignore (Evaluate.measure_all ?jobs ~spec designs);
-          []
-        end
+      let outcomes =
+        Evaluate.measure_all ?jobs ?keep_going ~spec (List.map snd warm)
       in
-      let design_failed d =
-        List.exists
-          (fun (e : Flow.error) -> e.Flow.err_design = Flow.span_key d)
-          failures
-      in
+      let failures = Evaluate.failures outcomes in
       let tool_ok tool =
-        (not (design_failed (Kernel.initial kernel tool)))
-        && not (design_failed (Kernel.optimized kernel tool))
+        List.for_all2
+          (fun (t, _) r -> t <> tool || Result.is_ok r)
+          warm outcomes
       in
       let rows =
         if not (tool_ok anchor) then
@@ -134,13 +125,7 @@ let compute_outcomes ?jobs ?tools ?(kernel = Kernel.idct) ~keep_going () =
         Hashtbl.replace computed (Kernel.name kernel) rows;
       (rows, failures)
 
-let compute ?jobs ?tools ?kernel () =
-  fst (compute_outcomes ?jobs ?tools ?kernel ~keep_going:false ())
-
-let compute_result ?jobs ?tools ?kernel () =
-  compute_outcomes ?jobs ?tools ?kernel ~keep_going:true ()
-
-let render_rows rows =
+let render rows =
   let buf = Buffer.create 4096 in
   let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let header =
@@ -206,9 +191,3 @@ let render_rows rows =
     (pair (fun r -> string_of_int r.initial.measured.Metrics.ios)
        (fun r -> string_of_int r.optimized.measured.Metrics.ios));
   Buffer.contents buf
-
-let render ?jobs ?tools ?kernel () = render_rows (compute ?jobs ?tools ?kernel ())
-
-let render_result ?jobs ?tools ?kernel () =
-  let rows, failures = compute_result ?jobs ?tools ?kernel () in
-  (render_rows rows, failures)

@@ -21,45 +21,28 @@ type row = {
 
 val compute :
   ?jobs:int ->
-  ?tools:Design.tool list ->
-  ?kernel:(module Kernel.KERNEL) ->
-  unit ->
-  row list
-(** Measures every design of [kernel] (default the paper's IDCT; cached
-    per kernel after the first call).  The measurements are warmed on
-    the domain pool ({!Evaluate.measure_all}); the rows are then
-    assembled sequentially from the cache, so the result is identical
-    for any job count.  [tools] restricts the rows (registration order,
-    duplicates ignored); the anchor pair — the kernel's first registered
-    tool, Verilog for the IDCT — is still measured, since alpha and C_Q
-    are normalized against it.  Restricted tables are not cached. *)
-
-val compute_result :
-  ?jobs:int ->
+  ?keep_going:bool ->
   ?tools:Design.tool list ->
   ?kernel:(module Kernel.KERNEL) ->
   unit ->
   row list * Flow.error list
-(** Keep-going: every design is still measured, but a tool whose initial
-    or optimized design fails loses its column pair instead of aborting
-    the table; the failures come back as typed errors.  Because every
-    indicator is normalized against the anchor columns, a failed
-    anchor design yields no rows at all (the failures still report
-    every broken design).  Partial results are not memoized. *)
+(** Measures every design of [kernel] (default the paper's IDCT; cached
+    per kernel after the first call).  The measurements are warmed in
+    one {!Evaluate.measure_all} batch on the domain pool; the rows are
+    then assembled sequentially from the cache, so the result is
+    identical for any job count.  [tools] restricts the rows
+    (registration order, duplicates ignored); the anchor pair — the
+    kernel's first registered tool, Verilog for the IDCT — is still
+    measured, since alpha and C_Q are normalized against it.  Restricted
+    tables are not cached.
 
-val render :
-  ?jobs:int ->
-  ?tools:Design.tool list ->
-  ?kernel:(module Kernel.KERNEL) ->
-  unit ->
-  string
+    Fail-fast (the default) raises the first failure as a
+    {!Flow.Error}, so the error list is empty.  With [keep_going] every
+    design is still measured, a tool whose initial or optimized design
+    fails loses its column pair, and the failures come back as typed
+    errors.  Because every indicator is normalized against the anchor
+    columns, a failed anchor design yields no rows at all.  Partial
+    results are not memoized. *)
+
+val render : row list -> string
 (** The table in the paper's layout (rows = indicators, columns = tools). *)
-
-val render_result :
-  ?jobs:int ->
-  ?tools:Design.tool list ->
-  ?kernel:(module Kernel.KERNEL) ->
-  unit ->
-  string * Flow.error list
-(** {!render} over {!compute_result}: the surviving columns plus the
-    failures for the caller's summary. *)

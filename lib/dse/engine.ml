@@ -64,6 +64,9 @@ let matrices = 3
 (* ------------------------------------------------------------------ *)
 
 type state = {
+  jobs : int option;
+  keep_going : bool;
+  spec : Core.Flow.spec;
   mutable budget_left : int;
   mutable cache_hits : int;
   mutable rounds : int;
@@ -75,7 +78,7 @@ type state = {
    run already visited, truncate to the remaining budget, count how many
    are warm in the memo cache, and record every outcome.  One call = one
    "round" trace span. *)
-let evaluate_batch st ?jobs ~keep_going ~spec cands =
+let evaluate_batch st cands =
   let fresh, _ =
     List.fold_left
       (fun (acc, seen) c ->
@@ -95,16 +98,14 @@ let evaluate_batch st ?jobs ~keep_going ~spec cands =
           List.length
             (List.filter
                (fun c ->
-                 Core.Evaluate.is_cached ~matrices ~spec c.Space.cand_design)
+                 Core.Evaluate.is_cached ~matrices ~spec:st.spec
+                   c.Space.cand_design)
                fresh)
         in
         let designs = List.map (fun c -> c.Space.cand_design) fresh in
         let outcomes =
-          if keep_going then
-            Core.Evaluate.measure_all_result ?jobs ~matrices ~spec designs
-          else
-            List.map (fun m -> Ok m)
-              (Core.Evaluate.measure_all ?jobs ~matrices ~spec designs)
+          Core.Evaluate.measure_all ?jobs:st.jobs ~keep_going:st.keep_going
+            ~matrices ~spec:st.spec designs
         in
         st.budget_left <- st.budget_left - List.length fresh;
         st.cache_hits <- st.cache_hits + hits;
@@ -126,20 +127,17 @@ let lookup st c = Hashtbl.find_opt st.visited (Space.key c)
 
 let all_candidates spaces = List.concat_map Space.candidates spaces
 
-let run_exhaustive st ?jobs ~keep_going ~spec spaces =
-  evaluate_batch st ?jobs ~keep_going ~spec (all_candidates spaces)
-
-let run_random st ?jobs ~keep_going ~spec ~seed spaces =
+let run_random st ~seed spaces =
   let arr = Array.of_list (all_candidates spaces) in
   Rng.shuffle (Rng.create ~seed) arr;
-  evaluate_batch st ?jobs ~keep_going ~spec (Array.to_list arr)
+  evaluate_batch st (Array.to_list arr)
 
 (* Multi-restart neighborhood ascent.  Restart points come from one
    seeded permutation of the space; each climb evaluates the whole ±1
    neighborhood as a single pool batch, then moves to the strictly best
    improving neighbor (ties broken by candidate key, so the walk is a
    pure function of seed and scores). *)
-let run_hillclimb st ?jobs ~keep_going ~spec ~seed ~objective spaces =
+let run_hillclimb st ~seed ~objective spaces =
   let arr = Array.of_list (all_candidates spaces) in
   Rng.shuffle (Rng.create ~seed) arr;
   let space_of =
@@ -163,7 +161,7 @@ let run_hillclimb st ?jobs ~keep_going ~spec ~seed ~objective spaces =
     done;
     if !restart < Array.length arr then begin
       let start = arr.(!restart) in
-      evaluate_batch st ?jobs ~keep_going ~spec [ start ];
+      evaluate_batch st [ start ];
       let current = ref (lookup st start) in
       let climbing = ref true in
       while !climbing do
@@ -176,7 +174,7 @@ let run_hillclimb st ?jobs ~keep_going ~spec ~seed ~objective spaces =
                 let neigh =
                   Space.neighbors (space_of cur.ev_candidate) cur.ev_candidate
                 in
-                evaluate_batch st ?jobs ~keep_going ~spec neigh;
+                evaluate_batch st neigh;
                 let best =
                   List.fold_left
                     (fun best c ->
@@ -230,12 +228,14 @@ let spec_of_spaces = function
 
 let run ?jobs ?(keep_going = false) ?budget ?(seed = 0) ~strategy ~objective
     spaces =
-  let spec = spec_of_spaces spaces in
   let space_size =
     List.fold_left (fun n s -> n + Space.size s) 0 spaces
   in
   let st =
     {
+      jobs;
+      keep_going;
+      spec = spec_of_spaces spaces;
       budget_left = (match budget with Some b -> max 0 b | None -> space_size);
       cache_hits = 0;
       rounds = 0;
@@ -245,10 +245,9 @@ let run ?jobs ?(keep_going = false) ?budget ?(seed = 0) ~strategy ~objective
   in
   Core.Trace.with_span ~design:"dse" ~stage:"search" (fun () ->
       (match strategy with
-      | Strategy.Exhaustive -> run_exhaustive st ?jobs ~keep_going ~spec spaces
-      | Strategy.Random -> run_random st ?jobs ~keep_going ~spec ~seed spaces
-      | Strategy.Hillclimb ->
-          run_hillclimb st ?jobs ~keep_going ~spec ~seed ~objective spaces);
+      | Strategy.Exhaustive -> evaluate_batch st (all_candidates spaces)
+      | Strategy.Random -> run_random st ~seed spaces
+      | Strategy.Hillclimb -> run_hillclimb st ~seed ~objective spaces);
       let evaluated = List.rev st.order in
       let cloud =
         List.filter_map
@@ -261,9 +260,7 @@ let run ?jobs ?(keep_going = false) ?budget ?(seed = 0) ~strategy ~objective
       let front = Pareto.frontier cloud in
       let failures =
         List.length
-          (List.filter
-             (fun ev -> Result.is_error ev.ev_outcome)
-             evaluated)
+          (List.filter (fun ev -> Result.is_error ev.ev_outcome) evaluated)
       in
       Core.Trace.add_counter "frontier_size" (List.length front);
       {

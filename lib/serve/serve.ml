@@ -311,7 +311,8 @@ let handle_batch cfg counters lines =
             Atomic.incr counters.memo_hits)
         designs;
       let results =
-        Core.Evaluate.measure_all_result ?jobs:cfg.jobs ~matrices ~spec designs
+        Core.Evaluate.measure_all ?jobs:cfg.jobs ~keep_going:true ~matrices
+          ~spec designs
       in
       List.iter2
         (fun (i, _) r ->

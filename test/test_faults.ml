@@ -173,7 +173,8 @@ let test_keep_going_sweep () =
     { Core.Faultinject.fault = Poison; target = vkey; seed = 0 };
   let faulted =
     Fun.protect ~finally:Core.Faultinject.disarm (fun () ->
-        Core.Evaluate.measure_all_result ~spec:Core.Flow.idct_spec ~jobs:2 ~matrices:3 designs)
+        Core.Evaluate.measure_all ~spec:Core.Flow.idct_spec ~jobs:2
+          ~keep_going:true ~matrices:3 designs)
   in
   Core.Evaluate.clear_measure_cache ();
   let clean = Core.Evaluate.measure_all ~spec:Core.Flow.idct_spec ~jobs:2 ~matrices:3 designs in
@@ -195,7 +196,7 @@ let test_keep_going_sweep () =
         | Ok got ->
             check bool
               (Printf.sprintf "survivor %d identical to fault-free run" i)
-              true (got = m)
+              true (Ok got = m)
         | Error e ->
             Alcotest.fail
               (Printf.sprintf "unexpected failure on %s: %s" key
@@ -213,7 +214,8 @@ let test_keep_going_all_run () =
     { Core.Faultinject.fault = Crash "synthesize"; target = first_key; seed = 0 };
   let outcomes =
     Fun.protect ~finally:Core.Faultinject.disarm (fun () ->
-        Core.Evaluate.measure_all_result ~spec:Core.Flow.idct_spec ~jobs:1 ~matrices:3 designs)
+        Core.Evaluate.measure_all ~spec:Core.Flow.idct_spec ~jobs:1
+          ~keep_going:true ~matrices:3 designs)
   in
   Core.Evaluate.clear_measure_cache ();
   let oks = List.filter (function Ok _ -> true | Error _ -> false) outcomes in
@@ -224,6 +226,66 @@ let test_keep_going_all_run () =
       check string "typed as synth-failure" "synth-failure"
         (Core.Flow.class_name e.Core.Flow.err_class)
   | Ok _ -> Alcotest.fail "first point must fail"
+
+(* Fail-fast stops at the first failure and raises it typed, under the
+   failing design's key: the same error a keep-going run puts in its slot. *)
+let test_fail_fast_typed () =
+  let designs = Core.Registry.sweep Core.Design.Chisel in
+  let victim = Core.Flow.span_key (List.hd designs) in
+  Core.Evaluate.clear_measure_cache ();
+  Core.Faultinject.arm
+    { Core.Faultinject.fault = Crash "synthesize"; target = victim; seed = 0 };
+  Fun.protect
+    ~finally:(fun () ->
+      Core.Faultinject.disarm ();
+      Core.Evaluate.clear_measure_cache ())
+    (fun () ->
+      match
+        Core.Evaluate.measure_all ~spec:Core.Flow.idct_spec ~jobs:2
+          ~matrices:3 designs
+      with
+      | _ -> Alcotest.fail "a fail-fast batch must raise"
+      | exception Core.Flow.Error e ->
+          check string "the failing design" victim e.Core.Flow.err_design;
+          check string "its stage" "synthesize" e.Core.Flow.err_stage)
+
+(* The compliance batch keeps going past a crashed design: that slot is
+   its typed [comply] error and every other verdict equals a clean run.
+   Fail-fast raises the same error. *)
+let test_keep_going_compliance () =
+  let kernel = Option.get (Core.Kernel.parse_kernel "fir8") in
+  let spec = Core.Kernel.spec kernel in
+  let designs =
+    List.map (Core.Kernel.optimized kernel) (Core.Kernel.tools kernel)
+  in
+  let victim = Core.Flow.span_key (List.nth designs 2) in
+  let clean = Core.Evaluate.compliance_all ~jobs:2 ~blocks:16 ~spec designs in
+  Core.Faultinject.arm
+    { Core.Faultinject.fault = Crash "comply"; target = victim; seed = 0 };
+  Fun.protect ~finally:Core.Faultinject.disarm (fun () ->
+      let faulted =
+        Core.Evaluate.compliance_all ~jobs:2 ~keep_going:true ~blocks:16 ~spec
+          designs
+      in
+      List.iter2
+        (fun d (f, c) ->
+          let key = Core.Flow.span_key d in
+          match f with
+          | Error e when key = victim ->
+              check string "attributed to the crashed design" victim
+                e.Core.Flow.err_design;
+              check string "in the comply stage" "comply" e.Core.Flow.err_stage
+          | Error e -> Alcotest.fail (Core.Flow.error_to_string e)
+          | Ok _ when key = victim -> Alcotest.fail "the crashed design passed"
+          | Ok v ->
+              check bool (key ^ ": verdict of the clean run") true (Ok v = c))
+        designs
+        (List.combine faulted clean);
+      match Core.Evaluate.compliance_all ~jobs:2 ~blocks:16 ~spec designs with
+      | _ -> Alcotest.fail "a fail-fast compliance batch must raise"
+      | exception Core.Flow.Error e ->
+          check string "fail-fast: the same stage" "comply"
+            e.Core.Flow.err_stage)
 
 (* Elaboration runs in parallel across designs: a crash injected into the
    elaborate stage of every BSC optimized point, in a keep-going Fig. 1 at
@@ -247,7 +309,7 @@ let test_keep_going_fig1_elaborate () =
     { Core.Faultinject.fault = Crash "elaborate"; target; seed = 0 };
   let faulted, errors =
     Fun.protect ~finally:Core.Faultinject.disarm (fun () ->
-        Core.Fig1.compute_result ~jobs:2 ())
+        Core.Fig1.compute ~jobs:2 ~keep_going:true ())
   in
   check (Alcotest.list string) "exactly the BSC optimized points fail" victims
     (List.map (fun e -> e.Core.Flow.err_design) errors);
@@ -255,7 +317,7 @@ let test_keep_going_fig1_elaborate () =
     (fun e -> check string "in the elaborate stage" "elaborate" e.Core.Flow.err_stage)
     errors;
   fresh ();
-  let clean = Core.Fig1.compute ~jobs:2 () in
+  let clean, _ = Core.Fig1.compute ~jobs:2 () in
   List.iter2
     (fun (f : Core.Fig1.series) (c : Core.Fig1.series) ->
       let survivors =
@@ -294,7 +356,7 @@ let test_fault_on_shared_netlist () =
   | Error e -> Alcotest.fail e);
   let series, errors =
     Fun.protect ~finally:Core.Faultinject.disarm (fun () ->
-        Core.Fig1.compute_result ~jobs:2 ())
+        Core.Fig1.compute ~jobs:2 ~keep_going:true ())
   in
   check (Alcotest.list string) "exactly the targeted point fails" [ victim ]
     (List.map (fun e -> e.Core.Flow.err_design) errors);
@@ -339,7 +401,16 @@ let test_parse_specs () =
     | Ok _ -> Alcotest.fail ("accepted bad spec " ^ text)
     | Error e -> check bool ("diagnostic for " ^ text) true (contains ~sub:fragment e)
   in
+  (match Core.Faultinject.parse "crash@comply:Bambu" with
+  | Ok { Core.Faultinject.fault = Crash "comply"; _ } -> ()
+  | _ -> Alcotest.fail "crash@comply is a probed stage");
+  check (Alcotest.list string) "crash stages: the flow's, then comply"
+    (Core.Flow.stage_names @ [ "comply" ])
+    Core.Faultinject.crash_stages;
   bad "" "empty fault spec";
+  (* A stage no probe checks would never fire. *)
+  bad "crash@simulat:Vivado" "valid stages: elaborate, validate, simulate";
+  bad "crash@:Vivado" "unknown stage";
   bad "meteor:*" "unknown fault";
   bad "poison:x:-1" "bad seed"
 
@@ -432,6 +503,10 @@ let () =
             test_keep_going_fig1_elaborate;
           Alcotest.test_case "fault on a shared netlist, 2 jobs" `Slow
             test_fault_on_shared_netlist;
+          Alcotest.test_case "fail-fast raises the typed error" `Quick
+            test_fail_fast_typed;
+          Alcotest.test_case "compliance, one design crashed" `Quick
+            test_keep_going_compliance;
         ] );
       ( "spec",
         [ Alcotest.test_case "parse and round-trip" `Quick test_parse_specs ] );

@@ -15,6 +15,10 @@ let cold () =
   Core.Fig1.clear_cache ();
   Core.Evaluate.clear_measure_cache ()
 
+(* The rendered Fig. 1 scatter of [tools]. *)
+let fig1 ~jobs tools =
+  Core.Fig1.render (fst (Core.Fig1.compute ~jobs ~tools ()))
+
 (* Run [f] with tracing enabled; return its result and the drained
    spans.  The flag is always restored. *)
 let traced f =
@@ -26,9 +30,9 @@ let traced f =
 
 let test_artifacts_identical_traced () =
   cold ();
-  let plain = Core.Fig1.render ~jobs:1 ~tools () in
+  let plain = fig1 ~jobs:1 tools in
   cold ();
-  let with_trace, spans = traced (fun () -> Core.Fig1.render ~jobs:1 ~tools ()) in
+  let with_trace, spans = traced (fun () -> fig1 ~jobs:1 tools) in
   check Alcotest.string "fig1 byte-identical under tracing" plain with_trace;
   check bool "trace not empty" true (spans <> []);
   (* one complete stage pipeline per measured design *)
@@ -41,9 +45,9 @@ let test_artifacts_identical_traced () =
 
 let test_artifacts_identical_across_jobs () =
   cold ();
-  let seq = Core.Fig1.render ~jobs:1 ~tools () in
+  let seq = fig1 ~jobs:1 tools in
   cold ();
-  let par, spans = traced (fun () -> Core.Fig1.render ~jobs:4 ~tools ()) in
+  let par, spans = traced (fun () -> fig1 ~jobs:4 tools) in
   check Alcotest.string "fig1 byte-identical jobs 1 vs 4" seq par;
   (* the pooled run recorded the engine spans... *)
   let find_stage name = List.filter (fun s -> s.Core.Trace.stage = name) spans in
@@ -204,10 +208,10 @@ let test_second_kernel_through_flow () =
    span. *)
 let test_bsc_shared_measurements () =
   cold ();
-  let plain = Core.Fig1.render ~jobs:1 ~tools:[ Core.Design.Bsv ] () in
+  let plain = fig1 ~jobs:1 [ Core.Design.Bsv ] in
   cold ();
   let shared, spans =
-    traced (fun () -> Core.Fig1.render ~jobs:2 ~tools:[ Core.Design.Bsv ] ())
+    traced (fun () -> fig1 ~jobs:2 [ Core.Design.Bsv ])
   in
   check Alcotest.string "BSC scatter identical" plain shared;
   let count name =
@@ -244,7 +248,8 @@ let test_shared_failure_keys () =
   in
   let sweep = Core.Registry.sweep Core.Design.Bsv in
   let outcomes =
-    Core.Evaluate.measure_all_result ~jobs:2 ~matrices:3 ~spec:wrong sweep
+    Core.Evaluate.measure_all ~jobs:2 ~keep_going:true ~matrices:3 ~spec:wrong
+      sweep
   in
   let keys =
     List.map

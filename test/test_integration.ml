@@ -205,7 +205,7 @@ let test_gaps_everywhere () =
 (* ---------------- fig1 machinery ---------------- *)
 
 let test_fig1_subset () =
-  let series = Core.Fig1.compute ~tools:[ Core.Design.Maxj ] () in
+  let series, _ = Core.Fig1.compute ~tools:[ Core.Design.Maxj ] () in
   (match series with
   | [ s ] ->
       check int "two MaxJ points" 2 (List.length s.Core.Fig1.points);
@@ -214,7 +214,7 @@ let test_fig1_subset () =
           check bool "positive throughput" true (p.throughput_mops > 0.))
         s.Core.Fig1.points
   | _ -> Alcotest.fail "expected one series");
-  let txt = Core.Fig1.render ~tools:[ Core.Design.Maxj ] () in
+  let txt = Core.Fig1.render series in
   check bool "render mentions MaxJ" true (String.length txt > 100)
 
 let test_table1_rows () =

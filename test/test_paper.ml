@@ -58,7 +58,7 @@ let test_sweep_sizes () =
   check int "Vivado HLS ladder" 5 (size Core.Design.Vivado_hls)
 
 let test_table2_invariants () =
-  let rows = Core.Table2.compute () in
+  let rows, _ = Core.Table2.compute () in
   let find tool =
     List.find (fun (r : Core.Table2.row) -> r.tool = tool) rows
   in

@@ -274,10 +274,10 @@ let points_flat series =
 let test_fig1_parallel_equals_sequential () =
   Core.Fig1.clear_cache ();
   Core.Evaluate.clear_measure_cache ();
-  let seq = Core.Fig1.compute ~jobs:1 ~tools () in
+  let seq, _ = Core.Fig1.compute ~jobs:1 ~tools () in
   Core.Fig1.clear_cache ();
   Core.Evaluate.clear_measure_cache ();
-  let par = Core.Fig1.compute ~jobs:4 ~tools () in
+  let par, _ = Core.Fig1.compute ~jobs:4 ~tools () in
   check int "same series count" (List.length seq) (List.length par);
   List.iter2
     (fun (a : Core.Fig1.series) (b : Core.Fig1.series) ->
@@ -289,8 +289,8 @@ let test_fig1_parallel_equals_sequential () =
 let test_fig1_cache_hit_identical () =
   Core.Fig1.clear_cache ();
   Core.Evaluate.clear_measure_cache ();
-  let first = Core.Fig1.compute ~jobs:2 ~tools () in
-  let second = Core.Fig1.compute ~jobs:2 ~tools () in
+  let first, _ = Core.Fig1.compute ~jobs:2 ~tools () in
+  let second, _ = Core.Fig1.compute ~jobs:2 ~tools () in
   (* The cache returns the very same series values, not recomputations. *)
   List.iter2
     (fun (a : Core.Fig1.series) b ->
